@@ -4,12 +4,20 @@
 //! scheduler's numbers exactly.
 //!
 //! Decision wall-clock measurement is off throughout — it is the one
-//! intentionally non-deterministic report input.
+//! intentionally non-deterministic report input. Monolithic, sharded and
+//! faulty cells are also pinned to committed golden reports
+//! (`tests/golden/`), so a changed decision fails even when it is
+//! reproducible.
+
+mod golden;
 
 use corp_bench::env::{
-    run_cell, run_cell_faulty, run_cell_sharded, Environment, SchemeKind, SchemeParams,
+    build_provisioner, run_cell, run_cell_faulty, run_cell_sharded, Environment, SchemeKind,
+    SchemeParams, ALL_SCHEMES,
 };
 use corp_faults::FaultConfig;
+use corp_sim::control_plane::ControlPlaneStats;
+use corp_sim::{JobCompletion, ProvisionPlan, Provisioner, SlotContext};
 
 const JOBS: usize = 40;
 
@@ -37,10 +45,16 @@ fn multi_shard_reports_are_byte_identical_across_runs() {
         let p = params();
         let (a, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
         let (b, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
+        let a = serde::json::to_string(&a);
         assert_eq!(
-            serde::json::to_string(&a),
+            a,
             serde::json::to_string(&b),
             "{scheme:?} not deterministic at 4 shards"
+        );
+        assert_eq!(
+            a,
+            golden::report(&format!("{}-{JOBS}jobs-4shards", golden::slug(scheme))),
+            "{scheme:?} at 4 shards diverged from the golden report"
         );
     }
 }
@@ -162,29 +176,67 @@ fn fifth_scheme_pipeline_is_identical_monolithic_and_sharded() {
 
 #[test]
 fn hot_path_optimizations_do_not_change_a_single_decision() {
-    // The perf tier must be invisible in the results: fan-out prediction
-    // across scoped threads plus the fused DNN kernels must reproduce the
-    // serial, reference-kernel run byte for byte, for every scheme. This is
-    // the transparency bar the kernel rewrite is held to — any reordering
-    // of a floating-point reduction would show up here.
-    for scheme in [
-        SchemeKind::Corp,
-        SchemeKind::Rccr,
-        SchemeKind::CloudScale,
-        SchemeKind::Dra,
-    ] {
-        let tuned = params();
-        let baseline = SchemeParams {
-            serial_prediction: true,
-            reference_dnn: true,
-            ..params()
-        };
-        let a = run_cell(Environment::Cluster, scheme, JOBS, &tuned, false);
-        let b = run_cell(Environment::Cluster, scheme, JOBS, &baseline, false);
+    // The perf tier must be invisible in the results: the pooled
+    // prediction runtime plus the fused DNN kernels must reproduce the
+    // golden reports byte for byte, for every scheme. The fixtures were
+    // captured while the serial, reference-kernel path still ran next to
+    // the tuned one and matched it exactly — any reordering of a
+    // floating-point reduction would show up here.
+    for scheme in ALL_SCHEMES {
+        let report = run_cell(Environment::Cluster, scheme, JOBS, &params(), false);
         assert_eq!(
-            serde::json::to_string(&a),
-            serde::json::to_string(&b),
-            "{scheme:?}: optimized hot path diverged from the serial reference run"
+            serde::json::to_string(&report),
+            golden::report(&format!("{}-{JOBS}jobs", golden::slug(scheme))),
+            "{scheme:?}: optimized hot path diverged from the golden report"
+        );
+    }
+}
+
+/// Forwards every call to `inner` but asks the engine for full-depth
+/// views on every slot (`full_view_period() == 1`), the engine default.
+struct FullViewsEverySlot(Box<dyn Provisioner + Send>);
+
+impl Provisioner for FullViewsEverySlot {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+        self.0.provision(ctx)
+    }
+    fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
+        self.0.on_jobs_completed(completed);
+    }
+    fn control_plane_stats(&self) -> Option<ControlPlaneStats> {
+        self.0.control_plane_stats()
+    }
+    fn set_service_level(&mut self, level: u8) {
+        self.0.set_service_level(level);
+    }
+}
+
+#[test]
+fn window_driven_provisioners_honour_their_full_view_period() {
+    // Off-period slots carry only the newest sample of each view history.
+    // A pipeline that read a deep tail off its declared period would see
+    // different views here than with full views every slot, and its
+    // report would change.
+    let env = Environment::Cluster;
+    let p = params();
+    for scheme in ALL_SCHEMES {
+        let mut full = FullViewsEverySlot(build_provisioner(scheme, env, &p));
+        let report = corp_sim::Simulation::new(
+            env.cluster(),
+            env.workload(JOBS, p.seed.wrapping_add(JOBS as u64)),
+            corp_sim::SimulationOptions {
+                measure_decision_time: false,
+                ..Default::default()
+            },
+        )
+        .run(&mut full);
+        assert_eq!(
+            serde::json::to_string(&report),
+            golden::report(&format!("{}-{JOBS}jobs", golden::slug(scheme))),
+            "{scheme:?}: full views every slot changed the report"
         );
     }
 }
@@ -199,6 +251,11 @@ fn faulty_runs_are_byte_identical_across_runs() {
     let a = run_cell_faulty(Environment::Cluster, SchemeKind::Corp, JOBS, &p, 2, &cfg);
     let b = run_cell_faulty(Environment::Cluster, SchemeKind::Corp, JOBS, &p, 2, &cfg);
     assert_eq!(serde::json::to_string(&a), serde::json::to_string(&b));
+    assert_eq!(
+        serde::json::to_string(&a),
+        golden::report(&format!("corp-{JOBS}jobs-2shards-faulty")),
+        "faulty run diverged from the golden report"
+    );
     // The scenario actually bites: faults happened and were recovered.
     let f = a.faults.as_ref().expect("fault stats present");
     assert!(f.vm_crashes > 0, "{f:?}");

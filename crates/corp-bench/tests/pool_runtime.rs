@@ -1,6 +1,5 @@
-//! Pool-runtime equivalence: the persistent worker-pool path must
-//! reproduce the legacy scoped-thread path byte for byte, at every fan-out
-//! width, for every scheme.
+//! Pool-runtime equivalence: every scheme's report must match its
+//! committed golden report byte for byte at every prediction-pool width.
 //!
 //! This is the determinism contract of DESIGN.md §11: chunking is
 //! contiguous and width-deterministic, results land by task index, and
@@ -8,16 +7,18 @@
 //! they are read (plus order-independent counters). A single differing
 //! byte in a serialized report fails the suite.
 
+mod golden;
+
 use corp_bench::env::{run_cell, Environment, SchemeKind, SchemeParams, ALL_SCHEMES};
 use corp_core::pipeline::hardware_parallelism;
 
 const JOBS: usize = 30;
 
-/// Runs one small cluster cell and serializes the full report.
-fn report_json(scheme: SchemeKind, scoped: bool, width: Option<usize>) -> String {
+/// Runs one small cluster cell at prediction-pool `width` and serializes
+/// the full report.
+fn report_json(scheme: SchemeKind, width: Option<usize>) -> String {
     let params = SchemeParams {
         fast_dnn: true,
-        scoped_runtime: scoped,
         pool_width: width,
         ..Default::default()
     };
@@ -31,33 +32,15 @@ fn report_json(scheme: SchemeKind, scoped: bool, width: Option<usize>) -> String
 }
 
 #[test]
-fn pooled_widths_match_scoped_for_every_scheme() {
+fn pool_widths_match_the_golden_reports_for_every_scheme() {
     for scheme in ALL_SCHEMES {
-        let scoped = report_json(scheme, true, None);
-        for width in [Some(1), Some(2), Some(hardware_parallelism())] {
+        let expected = golden::report(&format!("{}-{JOBS}jobs", golden::slug(scheme)));
+        for width in [Some(1), Some(2), Some(hardware_parallelism()), None] {
             assert_eq!(
-                report_json(scheme, false, width),
-                scoped,
-                "{scheme:?}: pooled at width {width:?} diverged from scoped"
+                report_json(scheme, width),
+                expected,
+                "{scheme:?}: pool width {width:?} diverged from the golden report"
             );
         }
-        assert_eq!(
-            report_json(scheme, false, None),
-            scoped,
-            "{scheme:?}: pooled at the default width diverged from scoped"
-        );
-    }
-}
-
-#[test]
-fn pinned_width_matches_default_width_under_scoped_mode() {
-    // The width knob must be inert in scoped mode too (it only shapes the
-    // pooled chunking; scoped fan-out derives its width from the host).
-    for scheme in [SchemeKind::Corp, SchemeKind::Rccr] {
-        assert_eq!(
-            report_json(scheme, true, Some(2)),
-            report_json(scheme, true, None),
-            "{scheme:?}: width override changed the scoped-mode report"
-        );
     }
 }

@@ -1696,10 +1696,13 @@ mod tests {
     }
 
     #[test]
-    fn idle_fleet_view_skip_is_byte_identical_to_legacy_views() {
+    fn idle_fleet_view_skip_is_byte_identical_to_unskipped_views() {
         // A long fully-idle gap (far beyond VIEW_HISTORY_CAP) between two
-        // waves exercises the idle-VM view skip on every VM; the legacy
-        // arm rebuilds every view every slot. Reports must agree exactly.
+        // waves exercises the idle-VM view skip on every VM. An armed
+        // fault timeline turns the skip off (`skip_enabled`), so an empty
+        // one rebuilds every view every slot while changing nothing else:
+        // reports must agree exactly once its zeroed fault block is set
+        // aside.
         let mut jobs = small_workload(24, 41);
         for (i, j) in jobs.iter_mut().enumerate() {
             j.arrival_slot = if i < 12 { 0 } else { 400 };
@@ -1708,20 +1711,15 @@ mod tests {
             measure_decision_time: false,
             ..SimulationOptions::default()
         };
-        let pooled =
+        let skipped =
             Simulation::new(cluster(), jobs.clone(), opts.clone()).run(&mut StaticPeakProvisioner);
-        let legacy = Simulation::new(
-            cluster(),
-            jobs,
-            SimulationOptions {
-                legacy_slot_views: true,
-                ..opts
-            },
-        )
-        .run(&mut StaticPeakProvisioner);
+        let mut unskipped = Simulation::new(cluster(), jobs, opts)
+            .with_fault_timeline(FaultTimeline::default())
+            .run(&mut StaticPeakProvisioner);
+        assert_eq!(unskipped.faults.take(), Some(FaultStats::default()));
         assert_eq!(
-            serde::json::to_string(&pooled),
-            serde::json::to_string(&legacy),
+            serde::json::to_string(&skipped),
+            serde::json::to_string(&unskipped),
             "idle-VM view skip must not change what provisioners see"
         );
     }
