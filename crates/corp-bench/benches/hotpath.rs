@@ -1,11 +1,10 @@
 //! Hot-path microbenchmarks backing DESIGN.md §9's numbers:
 //!
-//! * DNN pretraining through the three kernel tiers — the legacy
-//!   per-sample reference kernels, the fused per-sample kernels
-//!   (bit-identical to the reference), and the blocked minibatch kernels
-//!   (the throughput tier; the acceptance bar is >= 2x over per-sample).
-//!   Epoch counts are pinned (patience can never trigger) so every tier
-//!   does the same number of dataset passes.
+//! * DNN pretraining through the two kernel tiers — the fused per-sample
+//!   kernels and the blocked minibatch kernels (the throughput tier; the
+//!   acceptance bar is >= 2x over per-sample). Epoch counts are pinned
+//!   (patience can never trigger) so every tier does the same number of
+//!   dataset passes.
 //! * Best-fit placement over a large fleet — the incremental
 //!   [`VolumeIndex`] against the linear Eq. 22 scan it replaces, under
 //!   per-slot churn (each iteration updates one VM's pool, then answers
@@ -35,11 +34,10 @@ fn pretrain_dataset(n: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
 
 /// Fixed-epoch training config (patience exceeds the epoch cap, so every
 /// kernel tier runs exactly `max_epochs` passes).
-fn pinned_epochs(reference_kernels: bool) -> TrainConfig {
+fn pinned_epochs() -> TrainConfig {
     TrainConfig {
         max_epochs: 8,
         patience: 9,
-        reference_kernels,
         ..TrainConfig::default()
     }
 }
@@ -58,18 +56,10 @@ fn bench_dnn_pretrain(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("dnn_pretrain");
     group.sample_size(20);
-    group.bench_function("per_sample_reference", |b| {
-        b.iter(|| {
-            let mut n = net();
-            Trainer::new(pinned_epochs(true))
-                .train(&mut n, black_box(&inputs), &targets)
-                .final_validation_mse
-        })
-    });
     group.bench_function("per_sample_fused", |b| {
         b.iter(|| {
             let mut n = net();
-            Trainer::new(pinned_epochs(false))
+            Trainer::new(pinned_epochs())
                 .train(&mut n, black_box(&inputs), &targets)
                 .final_validation_mse
         })
@@ -82,7 +72,7 @@ fn bench_dnn_pretrain(c: &mut Criterion) {
             let mut scratch = BatchScratch::new();
             Trainer::new(TrainConfig {
                 batch_size: 64,
-                ..pinned_epochs(false)
+                ..pinned_epochs()
             })
             .train_minibatched(&mut n, black_box(&inputs), &targets, &mut scratch)
             .final_validation_mse
@@ -184,10 +174,8 @@ fn bench_kernels(c: &mut Criterion) {
 ///
 /// * `two_phase_per_op` — reserve then confirm, one lock pair per claim
 ///   (the pre-striping coordinator rhythm), at 1 and 16 stripes;
-/// * `two_phase_batched` — one `reserve_batch` + one `confirm_batch`
-///   round (`O(stripes)` lock acquisitions for the whole slot);
-/// * `fast_commit_per_op` / `fast_commit_batched` — the optimistic
-///   epoch fast path, fusing both phases into a single acquisition.
+/// * `fast_commit_per_op` — the optimistic epoch fast path, fusing both
+///   phases into a single acquisition.
 fn bench_store_contention(c: &mut Criterion) {
     const VMS: usize = 1024;
     const OPS: usize = 256;
@@ -209,22 +197,7 @@ fn bench_store_contention(c: &mut Criterion) {
             })
         });
     }
-    let store = PlacementStore::with_stripes(caps.clone(), 16);
-    let requests: Vec<(usize, ResourceVector)> =
-        (0..OPS).map(|op| (op * 37 % VMS, demand)).collect();
-    group.bench_function("two_phase_batched_stripes16", |b| {
-        b.iter(|| {
-            store.begin_slot(&zeros);
-            let ids: Vec<_> = store
-                .reserve_batch(0, black_box(&requests))
-                .into_iter()
-                .map(|r| r.expect("uncontended reserve"))
-                .collect();
-            for r in store.confirm_batch(&ids) {
-                r.expect("open reservation");
-            }
-        })
-    });
+    let store = PlacementStore::with_stripes(caps, 16);
     group.bench_function("fast_commit_per_op_stripes16", |b| {
         b.iter(|| {
             store.begin_slot(&zeros);
@@ -232,16 +205,6 @@ fn bench_store_contention(c: &mut Criterion) {
                 store
                     .try_fast_commit(0, black_box(op * 37 % VMS), demand)
                     .expect("uncontended fast commit");
-            }
-        })
-    });
-    let claims: Vec<(usize, usize, ResourceVector)> =
-        (0..OPS).map(|op| (0, op * 37 % VMS, demand)).collect();
-    group.bench_function("fast_commit_batched_stripes16", |b| {
-        b.iter(|| {
-            store.begin_slot(&zeros);
-            for r in store.fast_commit_batch(black_box(&claims)) {
-                r.expect("uncontended fast commit");
             }
         })
     });

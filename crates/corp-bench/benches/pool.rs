@@ -1,25 +1,21 @@
-//! Pool-vs-scoped runtime microbenchmark backing DESIGN.md §11's numbers:
-//! the same prediction-shaped workload fanned through [`PredictRuntime`]
-//! in its two execution modes.
+//! Prediction-runtime microbenchmark backing DESIGN.md §11's numbers: the
+//! same prediction-shaped workload fanned through [`PredictRuntime`].
 //!
-//! * `scoped_fresh_scratch` — the pre-pool path: scoped threads (serial on
-//!   a single-core host) and a fresh `init()` scratch every window.
-//! * `pooled_persistent_scratch` — the default path: the window's tasks
+//! * `pooled_persistent_scratch` — the default width: the window's tasks
 //!   run through worker-owned (or, at width 1, caller-owned) scratch that
 //!   is reset, not reallocated, between windows.
-//! * `pooled_width2_channels` — the pooled path with the width pinned to
-//!   2, pricing the crossbeam dispatch round-trip the inline width-1 path
-//!   avoids.
+//! * `pooled_width2_channels` — the width pinned to 2, pricing the
+//!   crossbeam dispatch round-trip the inline width-1 path avoids.
 //!
 //! The workload per task mirrors the predictor hot loop: fill a series
-//! buffer, run an activation pass over it, reduce. All three arms compute
-//! identical results; only allocation and dispatch differ.
+//! buffer, run an activation pass over it, reduce. Both arms compute
+//! identical results; only dispatch differs.
 
-use corp_core::pipeline::{PredictRuntime, RuntimeMode};
+use corp_core::pipeline::PredictRuntime;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
-/// Stand-in for the predictor's per-worker state: buffers that a fresh
-/// scratch must allocate and a persistent scratch only refills.
+/// Stand-in for the predictor's per-worker state: buffers allocated once
+/// and refilled every window.
 struct Scratch {
     series: Vec<f64>,
     activations: Vec<f64>,
@@ -59,24 +55,20 @@ fn run_window(rt: &mut PredictRuntime, tasks: &[u64]) -> f64 {
     results.iter().sum()
 }
 
-fn bench_pool_vs_scoped(c: &mut Criterion) {
+fn bench_predict_runtime(c: &mut Criterion) {
     let tasks: Vec<u64> = (0..256).collect();
     let mut group = c.benchmark_group("predict_runtime_256tasks");
-    group.bench_function("scoped_fresh_scratch", |b| {
-        let mut rt = PredictRuntime::new(RuntimeMode::Scoped, true);
-        b.iter(|| run_window(&mut rt, &tasks))
-    });
     group.bench_function("pooled_persistent_scratch", |b| {
-        let mut rt = PredictRuntime::new(RuntimeMode::Pooled, true);
+        let mut rt = PredictRuntime::new();
         b.iter(|| run_window(&mut rt, &tasks))
     });
     group.bench_function("pooled_width2_channels", |b| {
-        let mut rt = PredictRuntime::new(RuntimeMode::Pooled, true);
+        let mut rt = PredictRuntime::new();
         rt.set_width(Some(2));
         b.iter(|| run_window(&mut rt, &tasks))
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_pool_vs_scoped);
+criterion_group!(benches, bench_predict_runtime);
 criterion_main!(benches);

@@ -14,6 +14,9 @@
 //! corp-exp --json fig6    # machine-readable output (one JSON array)
 //! ```
 //!
+//! The figure runners accept exactly `--fast`, `--json`, `--e2e` and
+//! `--shards K`; any other `--flag` exits 2 with that list.
+//!
 //! `e2e` drives a 1024-VM fleet and is excluded from `all`; ask for it by
 //! name (or via `--e2e`). `serve` runs the event-driven daemon and takes
 //! its own flags (`--replay PATH`, `--record PATH`, `--speed inf|N`,
@@ -53,46 +56,58 @@ use corp_bench::scale::{scale_experiment, ScaleArgs};
 use corp_bench::serve::{serve_experiment, ServeArgs};
 use corp_bench::FigureTable;
 
+/// The flags the figure runners accept (the subcommands parse their own).
+const BATCH_FLAGS: &str = "--fast, --json, --e2e, --shards K";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        run_serve(&args[1..]);
-        return;
+    match args.first().map(String::as_str) {
+        Some("serve") => {
+            return run_subcommand("serve", &args[1..], ServeArgs::parse, serve_experiment)
+        }
+        Some("resilience") => {
+            return run_subcommand(
+                "resilience",
+                &args[1..],
+                ResilienceArgs::parse,
+                resilience_experiment,
+            )
+        }
+        Some("scale") => {
+            return run_subcommand("scale", &args[1..], ScaleArgs::parse, |_, a| {
+                scale_experiment(a)
+            })
+        }
+        _ => {}
     }
-    if args.first().map(String::as_str) == Some("resilience") {
-        run_resilience(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("scale") {
-        run_scale(&args[1..]);
-        return;
-    }
-    let fast = args.iter().any(|a| a == "--fast");
-    let json = args.iter().any(|a| a == "--json");
+    let mut fast = false;
+    let mut json = false;
+    let mut e2e_alias = false;
     // `--shards K` pins the e2e runner's sharded arms to one shard count
     // instead of the default 1/2/4/8 sweep.
-    let mut args = args;
     let mut shards: Option<usize> = None;
-    if let Some(i) = args.iter().position(|a| a == "--shards") {
-        let value = args.get(i + 1).and_then(|v| v.parse::<usize>().ok());
-        match value {
-            Some(k) if k >= 1 => {
-                shards = Some(k);
-                args.drain(i..=i + 1);
-            }
-            _ => {
-                eprintln!("--shards needs a positive integer shard count");
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--fast" => fast = true,
+            "--json" => json = true,
+            "--e2e" => e2e_alias = true,
+            "--shards" => match rest.next().and_then(|v| v.parse::<usize>().ok()) {
+                Some(k) if k >= 1 => shards = Some(k),
+                _ => {
+                    eprintln!("--shards needs a positive integer shard count");
+                    std::process::exit(2);
+                }
+            },
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag `{flag}`; accepted flags: {BATCH_FLAGS}");
                 std::process::exit(2);
             }
+            name => wanted.push(name),
         }
     }
-    let args = args;
-    let mut wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if args.iter().any(|a| a == "--e2e") {
+    if e2e_alias {
         // `perf --e2e` means the end-to-end runner, not the hot-path one.
         wanted.retain(|w| *w != "perf");
         wanted.push("e2e");
@@ -117,7 +132,12 @@ fn main() {
         ("perf", Box::new(experiments::perf)),
         (
             "e2e",
-            Box::new(move |fast| experiments::e2e_with_shards(fast, shards)),
+            Box::new(move |fast| {
+                experiments::e2e(fast, shards).unwrap_or_else(|e| {
+                    eprintln!("{e}");
+                    std::process::exit(2);
+                })
+            }),
         ),
     ];
 
@@ -157,20 +177,20 @@ fn main() {
     }
 }
 
-/// Handles `corp-exp serve <flags>`: parse, run, render. Bad flags and
-/// failed smoke assertions exit 2, matching the unknown-experiment path.
-fn run_serve(rest: &[String]) {
-    let fast = rest.iter().any(|a| a == "--fast");
-    let json = rest.iter().any(|a| a == "--json");
-    let parsed = match ServeArgs::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+/// Handles a flag-taking subcommand (`corp-exp <name> <flags>`): parse,
+/// run, render (`--json` prints a one-figure JSON array). Bad flags and
+/// failed runs — smoke assertions included — print one line and exit 2,
+/// matching the unknown-experiment path.
+fn run_subcommand<A>(
+    name: &str,
+    flags: &[String],
+    parse: fn(&[String]) -> Result<A, String>,
+    run: impl FnOnce(bool, &A) -> Result<FigureTable, String>,
+) {
+    let fast = flags.iter().any(|a| a == "--fast");
+    let json = flags.iter().any(|a| a == "--json");
     let started = std::time::Instant::now();
-    match serve_experiment(fast, &parsed) {
+    match parse(flags).and_then(|parsed| run(fast, &parsed)) {
         Ok(figure) => {
             if json {
                 println!("{}", serde::json::to_string(&vec![figure]));
@@ -178,71 +198,7 @@ fn run_serve(rest: &[String]) {
                 println!("{figure}");
             }
             eprintln!(
-                "[serve regenerated in {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Handles `corp-exp scale <flags>`: parse, run, render. Bad flags and
-/// failed smoke assertions (conservation, arena boundedness) exit 2.
-fn run_scale(rest: &[String]) {
-    let json = rest.iter().any(|a| a == "--json");
-    let parsed = match ScaleArgs::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let started = std::time::Instant::now();
-    match scale_experiment(&parsed) {
-        Ok(figure) => {
-            if json {
-                println!("{}", serde::json::to_string(&vec![figure]));
-            } else {
-                println!("{figure}");
-            }
-            eprintln!(
-                "[scale regenerated in {:.1}s]",
-                started.elapsed().as_secs_f64()
-            );
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Handles `corp-exp resilience <flags>`: parse, run, render. Bad flags
-/// and failed smoke assertions (determinism, conservation, breaker
-/// cycling) exit 2.
-fn run_resilience(rest: &[String]) {
-    let fast = rest.iter().any(|a| a == "--fast");
-    let json = rest.iter().any(|a| a == "--json");
-    let parsed = match ResilienceArgs::parse(rest) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let started = std::time::Instant::now();
-    match resilience_experiment(fast, &parsed) {
-        Ok(figure) => {
-            if json {
-                println!("{}", serde::json::to_string(&vec![figure]));
-            } else {
-                println!("{figure}");
-            }
-            eprintln!(
-                "[resilience regenerated in {:.1}s]",
+                "[{name} regenerated in {:.1}s]",
                 started.elapsed().as_secs_f64()
             );
         }

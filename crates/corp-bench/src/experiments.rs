@@ -13,6 +13,7 @@ use crate::env::{
     run_cell_sharded, Environment, SchemeKind, SchemeParams, ALL_SCHEMES,
 };
 use crate::table::TextTable;
+use corp_core::pipeline::{hardware_parallelism, WorkerPool};
 use corp_core::CorpConfig;
 use corp_faults::FaultConfig;
 use corp_sim::{Cluster, EnvironmentProfile, Simulation, SimulationOptions, SimulationReport};
@@ -50,22 +51,24 @@ pub const CONFIDENCE_LEVELS: [f64; 5] = [0.5, 0.6, 0.7, 0.8, 0.9];
 /// Workload seeds averaged by the small-count (SLO-rate) figures.
 pub const AVERAGING_SEEDS: [u64; 3] = [7, 1007, 2007];
 
-/// Runs `work` items in parallel, preserving order.
-fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
+/// Runs `f` over every item in parallel, one pool worker per item,
+/// preserving order.
+fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
-    F: Fn(T) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for (slot, item) in out.iter_mut().zip(items) {
-            scope.spawn(|| {
-                *slot = Some(f(item));
-            });
-        }
-    });
+    WorkerPool::new().run_chunks(
+        items,
+        &mut out,
+        items.len().max(1),
+        &|| (),
+        &|item, _: &mut ()| Some(f(item)),
+        &|_| (),
+    );
     out.into_iter()
         .map(|r| r.expect("worker finished"))
         .collect()
@@ -153,7 +156,7 @@ fn jobs_sweep_figure(
         .iter()
         .flat_map(|&s| JOB_COUNTS.iter().map(move |&n| (s, n)))
         .collect();
-    let reports = parallel_map(cells.clone(), |(scheme, n)| {
+    let reports = parallel_map(&cells, |&(scheme, n)| {
         let params = SchemeParams {
             fast_dnn: fast,
             ..Default::default()
@@ -180,7 +183,7 @@ fn utilization_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
         .iter()
         .flat_map(|&s| JOB_COUNTS.iter().map(move |&n| (s, n)))
         .collect();
-    let reports = parallel_map(cells, |(scheme, n)| {
+    let reports = parallel_map(&cells, |&(scheme, n)| {
         let params = SchemeParams {
             fast_dnn: fast,
             ..Default::default()
@@ -277,8 +280,8 @@ fn tradeoff_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
             })
         })
         .collect();
-    let reports = parallel_map(cells.clone(), |(scheme, params)| {
-        run_cell_averaged(env, scheme, JOBS, &params, false, &AVERAGING_SEEDS)
+    let reports = parallel_map(&cells, |(scheme, params)| {
+        run_cell_averaged(env, *scheme, JOBS, params, false, &AVERAGING_SEEDS)
     });
     let mut table = TextTable::new(
         format!(
@@ -326,7 +329,7 @@ fn confidence_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
         .iter()
         .flat_map(|&s| CONFIDENCE_LEVELS.iter().map(move |&c| (s, c)))
         .collect();
-    let reports = parallel_map(cells, |(scheme, confidence)| {
+    let reports = parallel_map(&cells, |&(scheme, confidence)| {
         let params = SchemeParams {
             confidence,
             fast_dnn: fast,
@@ -372,7 +375,7 @@ pub fn fig14(fast: bool) -> FigureTable {
 
 fn overhead_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
     const JOBS: usize = 300;
-    let reports = parallel_map(ALL_SCHEMES.to_vec(), |scheme| {
+    let reports = parallel_map(&ALL_SCHEMES, |&scheme| {
         let params = SchemeParams {
             fast_dnn: fast,
             ..Default::default()
@@ -448,9 +451,7 @@ pub fn scalability(fast: bool) -> FigureTable {
             pct(r.slo_violation_rate),
         ]);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = hardware_parallelism();
     FigureTable {
         id: "scalability".into(),
         table,
@@ -464,15 +465,15 @@ pub fn scalability(fast: bool) -> FigureTable {
     }
 }
 
-/// One timed arm of the hot-path performance baseline (`BENCH_hotpath.json`
-/// row).
+/// One timed row of the hot-path performance baseline
+/// (`BENCH_hotpath.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct PerfArm {
     /// Scheme name (paper spelling).
     pub scheme: String,
-    /// `"tuned"` (parallel prediction fan-out + fused/batched DNN kernels,
-    /// the defaults) or `"baseline"` (serial prediction + per-sample
-    /// reference kernels).
+    /// Always `"tuned"` (pooled prediction fan-out + fused/batched DNN
+    /// kernels, the only path); older baselines also carry `"baseline"`
+    /// rows.
     pub arm: String,
     /// Wall-clock seconds to build the provisioner, dominated by DNN
     /// pretraining for CORP (~0 for the baselines).
@@ -492,98 +493,76 @@ pub struct PerfArm {
 pub const PERF_BASELINE_FILE: &str = "BENCH_hotpath.json";
 
 /// Hot-path performance baseline: every scheme's heaviest #jobs cell
-/// (Fig. 6's 300-job cluster column), timed twice — the tuned arm (the
-/// defaults: scoped-thread prediction fan-out + fused/batched DNN kernels)
-/// against a baseline arm with both disabled. Cells run sequentially — not
-/// fanned out — so each wall-clock measurement owns the machine's cores,
-/// and the two arms of a scheme must produce byte-identical reports (the
-/// optimizations are not allowed to change a single decision). Writes
-/// [`PERF_BASELINE_FILE`] next to the table it returns; panics on
-/// non-finite or zero throughput so the smoke gate fails loudly.
+/// (Fig. 6's 300-job cluster column), timed best-of-3. Cells run
+/// sequentially — not fanned out — so each wall-clock measurement owns the
+/// machine's cores. Writes [`PERF_BASELINE_FILE`] next to the table it
+/// returns; panics on non-finite or zero throughput so the smoke gate
+/// fails loudly.
 pub fn perf(fast: bool) -> FigureTable {
     const JOBS: usize = 300;
     let mut arms: Vec<PerfArm> = Vec::new();
     for &scheme in &ALL_SCHEMES {
-        let mut serialized: Vec<String> = Vec::new();
-        for (arm, degrade) in [("tuned", false), ("baseline", true)] {
-            let params = SchemeParams {
-                fast_dnn: fast,
-                serial_prediction: degrade,
-                reference_dnn: degrade,
-                ..Default::default()
-            };
-            // Best-of-3: each measurement rebuilds the provisioner (the
-            // pretrain cost) and replays the identical deterministic sim;
-            // the minimum is the least noise-contaminated sample, which
-            // matters on small wall-clocks in shared environments.
-            let mut pretrain_secs = f64::INFINITY;
-            let mut run_secs = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..3 {
-                let building = std::time::Instant::now();
-                let mut provisioner = build_provisioner(scheme, Environment::Cluster, &params);
-                pretrain_secs = pretrain_secs.min(building.elapsed().as_secs_f64());
-                let mut sim = Simulation::new(
-                    Environment::Cluster.cluster(),
-                    Environment::Cluster.workload(JOBS, params.seed.wrapping_add(JOBS as u64)),
-                    SimulationOptions {
-                        measure_decision_time: false,
-                        ..Default::default()
-                    },
-                );
-                let running = std::time::Instant::now();
-                let r = sim.run(provisioner.as_mut());
-                run_secs = run_secs.min(running.elapsed().as_secs_f64());
-                report = Some(r);
-            }
-            let report = report.expect("three timed runs");
-            serialized.push(serde::json::to_string(&report));
-            let wall = run_secs.max(1e-9);
-            let row = PerfArm {
-                scheme: scheme.name().to_string(),
-                arm: arm.to_string(),
-                pretrain_secs,
-                run_secs,
-                slots_per_sec: report.slots_run as f64 / wall,
-                jobs_per_sec: report.completed as f64 / wall,
-                predictions_per_sec: report.predictions_resolved as f64 / wall,
-            };
-            for (metric, v) in [
-                ("pretrain_secs", row.pretrain_secs),
-                ("run_secs", row.run_secs),
-                ("slots_per_sec", row.slots_per_sec),
-                ("jobs_per_sec", row.jobs_per_sec),
-                ("predictions_per_sec", row.predictions_per_sec),
-            ] {
-                assert!(
-                    v.is_finite(),
-                    "{} {}: non-finite {metric}",
-                    row.scheme,
-                    row.arm
-                );
-            }
-            assert!(
-                row.slots_per_sec > 0.0 && row.jobs_per_sec > 0.0 && row.predictions_per_sec > 0.0,
-                "{} {}: zero throughput: {row:?}",
-                row.scheme,
-                row.arm
+        let params = SchemeParams {
+            fast_dnn: fast,
+            ..Default::default()
+        };
+        // Best-of-3: each measurement rebuilds the provisioner (the
+        // pretrain cost) and replays the identical deterministic sim; the
+        // minimum is the least noise-contaminated sample, which matters on
+        // small wall-clocks in shared environments.
+        let mut pretrain_secs = f64::INFINITY;
+        let mut run_secs = f64::INFINITY;
+        let mut report = None;
+        for _ in 0..3 {
+            let building = std::time::Instant::now();
+            let mut provisioner = build_provisioner(scheme, Environment::Cluster, &params);
+            pretrain_secs = pretrain_secs.min(building.elapsed().as_secs_f64());
+            let mut sim = Simulation::new(
+                Environment::Cluster.cluster(),
+                Environment::Cluster.workload(JOBS, params.seed.wrapping_add(JOBS as u64)),
+                SimulationOptions {
+                    measure_decision_time: false,
+                    ..Default::default()
+                },
             );
-            arms.push(row);
+            let running = std::time::Instant::now();
+            let r = sim.run(provisioner.as_mut());
+            run_secs = run_secs.min(running.elapsed().as_secs_f64());
+            report = Some(r);
         }
-        assert_eq!(
-            serialized[0],
-            serialized[1],
-            "{}: tuned and baseline arms produced different reports",
-            scheme.name()
+        let report = report.expect("three timed runs");
+        let wall = run_secs.max(1e-9);
+        let row = PerfArm {
+            scheme: scheme.name().to_string(),
+            arm: "tuned".to_string(),
+            pretrain_secs,
+            run_secs,
+            slots_per_sec: report.slots_run as f64 / wall,
+            jobs_per_sec: report.completed as f64 / wall,
+            predictions_per_sec: report.predictions_resolved as f64 / wall,
+        };
+        for (metric, v) in [
+            ("pretrain_secs", row.pretrain_secs),
+            ("run_secs", row.run_secs),
+            ("slots_per_sec", row.slots_per_sec),
+            ("jobs_per_sec", row.jobs_per_sec),
+            ("predictions_per_sec", row.predictions_per_sec),
+        ] {
+            assert!(v.is_finite(), "{}: non-finite {metric}", row.scheme);
+        }
+        assert!(
+            row.slots_per_sec > 0.0 && row.jobs_per_sec > 0.0 && row.predictions_per_sec > 0.0,
+            "{}: zero throughput: {row:?}",
+            row.scheme
         );
+        arms.push(row);
     }
     std::fs::write(PERF_BASELINE_FILE, serde::json::to_string(&arms))
         .expect("write perf baseline json");
     let mut table = TextTable::new(
-        "Perf — hot-path throughput, tuned (parallel + fused) vs baseline (serial + per-sample); cluster, 300 jobs",
+        "Perf — hot-path throughput (pooled prediction + fused DNN kernels); cluster, 300 jobs",
         &[
             "scheme",
-            "arm",
             "pretrain (s)",
             "sim wall (s)",
             "slots/s",
@@ -594,7 +573,6 @@ pub fn perf(fast: bool) -> FigureTable {
     for a in &arms {
         table.push_row(vec![
             a.scheme.clone(),
-            a.arm.clone(),
             three(a.pretrain_secs),
             three(a.run_secs),
             format!("{:.0}", a.slots_per_sec),
@@ -602,18 +580,14 @@ pub fn perf(fast: bool) -> FigureTable {
             format!("{:.0}", a.predictions_per_sec),
         ]);
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let cores = hardware_parallelism();
     FigureTable {
         id: "perf".into(),
         table,
         notes: vec![
             format!("machine-readable baseline written to {PERF_BASELINE_FILE}"),
-            "per-scheme reports verified byte-identical across arms before timing was recorded"
-                .into(),
             format!(
-                "host parallelism: {cores} core(s) — the prediction fan-out needs >1 core to show; the fused-kernel win shows in CORP's pretrain column regardless"
+                "host parallelism: {cores} core(s) — the prediction fan-out needs >1 core to show"
             ),
         ],
     }
@@ -625,10 +599,9 @@ pub fn perf(fast: bool) -> FigureTable {
 pub struct E2eArm {
     /// Scheme name (paper spelling).
     pub scheme: String,
-    /// `"pooled"` (persistent worker-pool runtime, the default),
-    /// `"scoped"` (legacy scoped-thread path with fresh scratch every
-    /// window), or `"sharded"` (pooled runtime behind the 2-shard control
-    /// plane with batched completion messaging).
+    /// `"pooled"` (the monolithic scheduler) or `"sharded-K"` (the same
+    /// scheme behind the K-shard striped-store control plane). Older
+    /// baselines also carry `"scoped"` rows.
     pub arm: String,
     /// Wall-clock seconds to build the provisioner (DNN pretraining for
     /// CORP; ~0 for the baselines).
@@ -660,9 +633,6 @@ pub struct E2eBaseline {
     pub jobs: usize,
     /// Whether the cheap test DNN was used (`--fast`).
     pub fast: bool,
-    /// CORP pooled slots/sec over CORP scoped slots/sec — the headline
-    /// win of the persistent worker-pool runtime.
-    pub corp_pool_speedup: f64,
     /// Every timed arm.
     pub arms: Vec<E2eArm>,
 }
@@ -672,15 +642,15 @@ pub struct E2eBaseline {
 pub const E2E_BASELINE_FILE: &str = "BENCH_e2e.json";
 
 /// Env var naming a committed [`E2E_BASELINE_FILE`] to regress against:
-/// when set, the runner panics if the fresh CORP pooled slots/sec falls
+/// when set, the runner fails if the fresh CORP pooled slots/sec falls
 /// more than [`E2E_REGRESSION_TOLERANCE`] below the baseline's.
 pub const E2E_BASELINE_ENV: &str = "CORP_E2E_BASELINE";
 
-/// Allowed fractional slots/sec drop before the baseline compare panics.
+/// Allowed fractional slots/sec drop before the baseline compare fails.
 pub const E2E_REGRESSION_TOLERANCE: f64 = 0.20;
 
 /// Allowed absolute fast-path-rate drop (fresh vs committed baseline)
-/// before the sharded regression compare panics.
+/// before the sharded regression compare fails.
 pub const E2E_FAST_PATH_TOLERANCE: f64 = 0.05;
 
 /// Shard counts the end-to-end benchmark sweeps when no `--shards`
@@ -725,96 +695,67 @@ fn e2e_workload(jobs: usize, seed: u64) -> Vec<JobSpec> {
     WorkloadGenerator::new(config, seed).generate()
 }
 
-/// End-to-end throughput: every scheme driving the 1024-VM fleet, timed in
-/// the persistent worker-pool runtime (the default), the legacy
-/// scoped-thread path it replaced (fresh threads and fresh scratch every
-/// window), and the pooled runtime behind the striped-store control plane
-/// across the [`E2E_SHARD_SWEEP`] shard counts (`sharded-1` … `sharded-8`;
-/// `corp-exp e2e --shards K` pins the sweep to one count). Arms run
-/// sequentially so each wall-clock measurement owns the machine, and the
-/// pooled and scoped arms of a scheme must produce byte-identical reports
-/// (the runtime swap is not allowed to change a single decision). The
-/// `sharded-1` arm must reproduce the monolithic decisions exactly — every
-/// claim takes the store's fast path, and the report's decision metrics
-/// are asserted equal to the pooled arm's. Multi-shard arms decorrelate
-/// per-shard seeds, so only their throughput is comparable. Monolithic
-/// arms are best-of-3; sharded arms are single runs. Writes
-/// [`E2E_BASELINE_FILE`] next to the table it returns, and when
-/// [`E2E_BASELINE_ENV`] names a committed baseline, panics if CORP's
-/// pooled slots/sec regressed more than [`E2E_REGRESSION_TOLERANCE`] below
-/// it, if CORP's `sharded-8` slots/sec fell more than the same tolerance
-/// below its own committed number (or, on multi-core hosts, below the
-/// fresh pooled arm — at 1 core sharding is pure coordination overhead
-/// and that claim is unenforceable), or if its fast-path rate dropped
-/// more than [`E2E_FAST_PATH_TOLERANCE`] below the committed baseline's.
-pub fn e2e(fast: bool) -> FigureTable {
-    e2e_with_shards(fast, None)
-}
-
-/// [`e2e`] with an optional shard-count override for the sharded arms
-/// (the CLI's `--shards K`).
-pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
+/// End-to-end throughput: every scheme driving the 1024-VM fleet, timed as
+/// the monolithic scheduler (`pooled`) and behind the striped-store control
+/// plane across the [`E2E_SHARD_SWEEP`] shard counts (`sharded-1` …
+/// `sharded-8`; `shards = Some(K)`, the CLI's `--shards K`, pins the sweep
+/// to one count). Arms run sequentially so each wall-clock measurement
+/// owns the machine. The `sharded-1` arm must reproduce the monolithic
+/// decisions exactly — every claim takes the store's fast path, and the
+/// report's decision metrics are asserted equal to the pooled arm's.
+/// Multi-shard arms decorrelate per-shard seeds, so only their throughput
+/// is comparable. Monolithic arms are best-of-3; sharded arms are single
+/// runs.
+///
+/// Writes [`E2E_BASELINE_FILE`] next to the table it returns. When
+/// [`E2E_BASELINE_ENV`] names a committed baseline, returns a one-line
+/// error instead (and writes nothing) if CORP's pooled slots/sec regressed
+/// more than [`E2E_REGRESSION_TOLERANCE`] below it, if CORP's `sharded-8`
+/// slots/sec fell more than the same tolerance below its own committed
+/// number (or, on multi-core hosts, below the fresh pooled arm — at 1 core
+/// sharding is pure coordination overhead and that claim is
+/// unenforceable), or if its fast-path rate dropped more than
+/// [`E2E_FAST_PATH_TOLERANCE`] below the committed baseline's.
+pub fn e2e(fast: bool, shards: Option<usize>) -> Result<FigureTable, String> {
     let jobs = if fast { 4000 } else { 8000 };
     let shard_counts: Vec<usize> = match shards {
         Some(k) => vec![k],
         None => E2E_SHARD_SWEEP.to_vec(),
     };
     let vms = e2e_fleet().vms.len();
+    let params = SchemeParams {
+        fast_dnn: fast,
+        ..Default::default()
+    };
+    let options = || SimulationOptions {
+        measure_decision_time: false,
+        ..Default::default()
+    };
     let mut arms: Vec<E2eArm> = Vec::new();
     for &scheme in &ALL_SCHEMES {
-        let mut serialized: Vec<String> = Vec::new();
-        let mut pooled_report: Option<SimulationReport> = None;
-        for (arm, scoped) in [("pooled", false), ("scoped", true)] {
-            let params = SchemeParams {
-                fast_dnn: fast,
-                scoped_runtime: scoped,
-                ..Default::default()
-            };
-            // Best-of-3: each measurement rebuilds the provisioner and
-            // replays the identical deterministic sim; the minimum is the
-            // least noise-contaminated sample.
-            let mut pretrain_secs = f64::INFINITY;
-            let mut run_secs = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..3 {
-                let building = std::time::Instant::now();
-                let mut provisioner = build_provisioner(scheme, Environment::Cluster, &params);
-                pretrain_secs = pretrain_secs.min(building.elapsed().as_secs_f64());
-                let mut sim = Simulation::new(
-                    e2e_fleet(),
-                    e2e_workload(jobs, params.seed.wrapping_add(jobs as u64)),
-                    SimulationOptions {
-                        measure_decision_time: false,
-                        // The baseline arm runs the whole pre-pool path:
-                        // legacy scoped-thread prediction runtime AND the
-                        // engine's per-slot view reallocation.
-                        legacy_slot_views: scoped,
-                        ..Default::default()
-                    },
-                );
-                let running = std::time::Instant::now();
-                let r = sim.run(provisioner.as_mut());
-                run_secs = run_secs.min(running.elapsed().as_secs_f64());
-                report = Some(r);
-            }
-            let report = report.expect("three timed runs");
-            serialized.push(serde::json::to_string(&report));
-            arms.push(e2e_arm(scheme, arm, pretrain_secs, run_secs, &report));
-            if !scoped {
-                pooled_report = Some(report);
-            }
+        // Best-of-3: each measurement rebuilds the provisioner and replays
+        // the identical deterministic sim; the minimum is the least
+        // noise-contaminated sample.
+        let mut pretrain_secs = f64::INFINITY;
+        let mut run_secs = f64::INFINITY;
+        let mut report = None;
+        for _ in 0..3 {
+            let building = std::time::Instant::now();
+            let mut provisioner = build_provisioner(scheme, Environment::Cluster, &params);
+            pretrain_secs = pretrain_secs.min(building.elapsed().as_secs_f64());
+            let mut sim = Simulation::new(
+                e2e_fleet(),
+                e2e_workload(jobs, params.seed.wrapping_add(jobs as u64)),
+                options(),
+            );
+            let running = std::time::Instant::now();
+            let r = sim.run(provisioner.as_mut());
+            run_secs = run_secs.min(running.elapsed().as_secs_f64());
+            report = Some(r);
         }
-        assert_eq!(
-            serialized[0],
-            serialized[1],
-            "{}: pooled and scoped arms produced different reports",
-            scheme.name()
-        );
+        let mono = report.expect("three timed runs");
+        arms.push(e2e_arm(scheme, "pooled", pretrain_secs, run_secs, &mono));
         for &k in &shard_counts {
-            let params = SchemeParams {
-                fast_dnn: fast,
-                ..Default::default()
-            };
             let building = std::time::Instant::now();
             let mut provisioner =
                 build_sharded_provisioner(scheme, Environment::Cluster, &params, k);
@@ -822,10 +763,7 @@ pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
             let mut sim = Simulation::new(
                 e2e_fleet(),
                 e2e_workload(jobs, params.seed.wrapping_add(jobs as u64)),
-                SimulationOptions {
-                    measure_decision_time: false,
-                    ..Default::default()
-                },
+                options(),
             );
             let running = std::time::Instant::now();
             let report = sim.run(&mut provisioner);
@@ -835,9 +773,6 @@ pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
                 // decisions exactly (the only report fields allowed to
                 // differ are the provisioner name and the control-plane
                 // block, which monolithic runs don't have).
-                let mono = pooled_report
-                    .as_ref()
-                    .expect("pooled arm ran before the shard sweep");
                 assert_eq!(report.utilization, mono.utilization, "{scheme:?}");
                 assert_eq!(
                     report.overall_utilization, mono.overall_utilization,
@@ -861,93 +796,23 @@ pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
             ));
         }
     }
-    let slots = |scheme: &str, arm: &str| {
-        arms.iter()
-            .find(|a| a.scheme == scheme && a.arm == arm)
-            .expect("every scheme ran every arm")
-            .slots_per_sec
-    };
-    let corp_pool_speedup = slots("CORP", "pooled") / slots("CORP", "scoped");
     if let Ok(path) = std::env::var(E2E_BASELINE_ENV) {
         let committed = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{E2E_BASELINE_ENV}={path}: unreadable baseline: {e}"));
-        let committed_slots = baseline_field(&committed, "CORP", "pooled", "slots_per_sec")
-            .unwrap_or_else(|| panic!("{path}: no CORP pooled slots_per_sec row"));
-        let fresh = slots("CORP", "pooled");
-        let floor = committed_slots * (1.0 - E2E_REGRESSION_TOLERANCE);
-        assert!(
-            fresh >= floor,
-            "perf regression: CORP pooled {fresh:.0} slots/s is more than \
-             {:.0}% below the committed baseline {committed_slots:.0} (floor {floor:.0})",
-            E2E_REGRESSION_TOLERANCE * 100.0
-        );
-        if let Some(sharded8) = arms
-            .iter()
-            .find(|a| a.scheme == "CORP" && a.arm == "sharded-8")
-        {
-            // Self-regression: sharded-8 must hold its own committed
-            // throughput (baselines predating the shard sweep have no
-            // such row; skip them).
-            if let Some(committed_s8) =
-                baseline_field(&committed, "CORP", "sharded-8", "slots_per_sec")
-            {
-                let s8_floor = committed_s8 * (1.0 - E2E_REGRESSION_TOLERANCE);
-                assert!(
-                    sharded8.slots_per_sec >= s8_floor,
-                    "perf regression: CORP sharded-8 {:.0} slots/s is more than {:.0}% below \
-                     its committed baseline {committed_s8:.0} (floor {s8_floor:.0})",
-                    sharded8.slots_per_sec,
-                    E2E_REGRESSION_TOLERANCE * 100.0
-                );
-            }
-            // The striped store's headline claim: at 8 shards the control
-            // plane keeps up with the monolithic pooled runtime (same
-            // noise tolerance as the pooled-vs-baseline gate). Only
-            // enforceable where shards can actually run in parallel — on
-            // a single-core host the sharded arm is pure coordination
-            // overhead with nothing to win back (the same 1-core
-            // inversion EXPERIMENTS.md documents for the worker pool).
-            let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            if cores > 1 {
-                let sharded_floor = fresh * (1.0 - E2E_REGRESSION_TOLERANCE);
-                assert!(
-                    sharded8.slots_per_sec >= sharded_floor,
-                    "perf regression: CORP sharded-8 {:.0} slots/s fell below the pooled \
-                     arm's {fresh:.0} by more than {:.0}% (floor {sharded_floor:.0}) on a \
-                     {cores}-core host",
-                    sharded8.slots_per_sec,
-                    E2E_REGRESSION_TOLERANCE * 100.0
-                );
-            }
-            // Fast-path-rate regression: a contention or protocol change
-            // that silently pushes claims off the fast path shows up here
-            // even while throughput noise hides it. Baselines predating
-            // the striped store have no such row; skip them.
-            if let Some(committed_rate) =
-                baseline_field(&committed, "CORP", "sharded-8", "fast_path_rate")
-            {
-                assert!(
-                    sharded8.fast_path_rate >= committed_rate - E2E_FAST_PATH_TOLERANCE,
-                    "fast-path regression: CORP sharded-8 rate {:.3} dropped more than \
-                     {E2E_FAST_PATH_TOLERANCE} below the committed baseline {committed_rate:.3}",
-                    sharded8.fast_path_rate
-                );
-            }
-        }
+            .map_err(|e| format!("{E2E_BASELINE_ENV}={path}: unreadable baseline: {e}"))?;
+        e2e_gate(&committed, &path, &arms)?;
     }
     let baseline = E2eBaseline {
         vms,
         jobs,
         fast,
-        corp_pool_speedup,
         arms: arms.clone(),
     };
     std::fs::write(E2E_BASELINE_FILE, serde::json::to_string(&baseline))
-        .expect("write e2e baseline json");
+        .map_err(|e| format!("write {E2E_BASELINE_FILE}: {e}"))?;
     let mut table = TextTable::new(
         format!(
-            "E2E — end-to-end throughput, pooled (persistent workers) vs scoped (legacy) vs \
-             striped-store shard sweep ({vms} VMs, {jobs} jobs)"
+            "E2E — end-to-end throughput, monolithic (pooled) vs striped-store shard sweep \
+             ({vms} VMs, {jobs} jobs)"
         ),
         &[
             "scheme",
@@ -961,6 +826,7 @@ pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
         ],
     );
     for a in &arms {
+        let sharded = a.arm.starts_with("sharded");
         table.push_row(vec![
             a.scheme.clone(),
             a.arm.clone(),
@@ -968,35 +834,102 @@ pub fn e2e_with_shards(fast: bool, shards: Option<usize>) -> FigureTable {
             three(a.run_secs),
             format!("{:.0}", a.slots_per_sec),
             format!("{:.1}", a.jobs_per_sec),
-            if a.arm.starts_with("sharded") {
+            if sharded {
                 pct(a.fast_path_rate)
             } else {
                 "-".into()
             },
-            if a.arm.starts_with("sharded") {
+            if sharded {
                 a.stripe_conflicts.to_string()
             } else {
                 "-".into()
             },
         ]);
     }
-    FigureTable {
+    Ok(FigureTable {
         id: "e2e".into(),
         table,
         notes: vec![
             format!("machine-readable baseline written to {E2E_BASELINE_FILE}"),
-            format!("CORP pooled/scoped slots-per-sec speedup: {corp_pool_speedup:.2}x"),
-            "per-scheme reports verified byte-identical between the pooled and scoped arms \
-             before timing was recorded; sharded-1 verified decision-identical to pooled; \
-             multi-shard arms decorrelate per-shard seeds, so only their throughput is \
-             comparable"
+            "sharded-1 verified decision-identical to pooled; multi-shard arms decorrelate \
+             per-shard seeds, so only their throughput is comparable"
                 .into(),
             "fast-path = fraction of store reservations committed via the single-stripe \
              optimistic path; stripe conflicts = fast-path attempts refused by the per-VM \
              writer check"
                 .into(),
         ],
+    })
+}
+
+/// The e2e regression gate against the `committed` baseline (read from
+/// `path`): `Err` carries the one-line verdict of the first failed check.
+fn e2e_gate(committed: &str, path: &str, arms: &[E2eArm]) -> Result<(), String> {
+    let tolerance_pct = E2E_REGRESSION_TOLERANCE * 100.0;
+    let committed_slots = baseline_field(committed, "CORP", "pooled", "slots_per_sec")
+        .ok_or_else(|| format!("{path}: no CORP pooled slots_per_sec row"))?;
+    let fresh = arms
+        .iter()
+        .find(|a| a.scheme == "CORP" && a.arm == "pooled")
+        .expect("CORP ran its pooled arm")
+        .slots_per_sec;
+    let floor = committed_slots * (1.0 - E2E_REGRESSION_TOLERANCE);
+    if fresh < floor {
+        return Err(format!(
+            "perf regression: CORP pooled {fresh:.0} slots/s is more than {tolerance_pct:.0}% \
+             below the committed baseline {committed_slots:.0} (floor {floor:.0})"
+        ));
     }
+    let Some(sharded8) = arms
+        .iter()
+        .find(|a| a.scheme == "CORP" && a.arm == "sharded-8")
+    else {
+        return Ok(());
+    };
+    let s8 = sharded8.slots_per_sec;
+    // Self-regression: sharded-8 must hold its own committed throughput
+    // (baselines predating the shard sweep have no such row; skip them).
+    if let Some(committed_s8) = baseline_field(committed, "CORP", "sharded-8", "slots_per_sec") {
+        let s8_floor = committed_s8 * (1.0 - E2E_REGRESSION_TOLERANCE);
+        if s8 < s8_floor {
+            return Err(format!(
+                "perf regression: CORP sharded-8 {s8:.0} slots/s is more than \
+                 {tolerance_pct:.0}% below its committed baseline {committed_s8:.0} \
+                 (floor {s8_floor:.0})"
+            ));
+        }
+    }
+    // The striped store's headline claim: at 8 shards the control plane
+    // keeps up with the monolithic pooled runtime (same noise tolerance as
+    // the pooled gate). Only enforceable where shards can actually run in
+    // parallel — on a single-core host the sharded arm is pure
+    // coordination overhead with nothing to win back (the same 1-core
+    // inversion EXPERIMENTS.md documents for the worker pool).
+    let cores = hardware_parallelism();
+    if cores > 1 {
+        let sharded_floor = fresh * (1.0 - E2E_REGRESSION_TOLERANCE);
+        if s8 < sharded_floor {
+            return Err(format!(
+                "perf regression: CORP sharded-8 {s8:.0} slots/s fell below the pooled arm's \
+                 {fresh:.0} by more than {tolerance_pct:.0}% (floor {sharded_floor:.0}) on a \
+                 {cores}-core host"
+            ));
+        }
+    }
+    // Fast-path-rate regression: a contention or protocol change that
+    // silently pushes claims off the fast path shows up here even while
+    // throughput noise hides it. Baselines predating the striped store
+    // have no such row; skip them.
+    if let Some(committed_rate) = baseline_field(committed, "CORP", "sharded-8", "fast_path_rate") {
+        if sharded8.fast_path_rate < committed_rate - E2E_FAST_PATH_TOLERANCE {
+            return Err(format!(
+                "fast-path regression: CORP sharded-8 rate {:.3} dropped more than \
+                 {E2E_FAST_PATH_TOLERANCE} below the committed baseline {committed_rate:.3}",
+                sharded8.fast_path_rate
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Builds one [`E2eArm`] row, asserting finite non-zero throughput so the
@@ -1064,7 +997,7 @@ pub fn availability(fast: bool) -> FigureTable {
         .iter()
         .flat_map(|&s| FAULT_INTENSITIES.iter().map(move |&i| (s, i)))
         .collect();
-    let reports = parallel_map(cells.clone(), |(scheme, intensity)| {
+    let reports = parallel_map(&cells, |&(scheme, intensity)| {
         let params = SchemeParams {
             fast_dnn: fast,
             ..Default::default()
@@ -1137,8 +1070,7 @@ pub fn ablations(fast: bool) -> FigureTable {
             Box::new(|c| c.use_volume_placement = false),
         ),
     ];
-    let names: Vec<&'static str> = variants.iter().map(|(n, _)| *n).collect();
-    let reports = parallel_map(variants, |(_, tweak)| {
+    let reports = parallel_map(&variants, |(_, tweak)| {
         let mut config = if fast {
             CorpConfig::fast()
         } else {
@@ -1166,7 +1098,7 @@ pub fn ablations(fast: bool) -> FigureTable {
             "prediction error",
         ],
     );
-    for (name, r) in names.iter().zip(&reports) {
+    for ((name, _), r) in variants.iter().zip(&reports) {
         table.push_row(vec![
             name.to_string(),
             three(r.overall_utilization),
@@ -1196,7 +1128,7 @@ mod tests {
 
     #[test]
     fn parallel_map_preserves_order() {
-        let out = parallel_map((0..32).collect::<Vec<usize>>(), |x| x * 2);
+        let out = parallel_map(&(0..32).collect::<Vec<usize>>(), |x| x * 2);
         assert_eq!(out, (0..32).map(|x| x * 2).collect::<Vec<usize>>());
     }
 
@@ -1205,5 +1137,44 @@ mod tests {
         for s in ALL_SCHEMES {
             assert_eq!(aggressiveness_grid(s).len(), 6, "{s:?}");
         }
+    }
+
+    #[test]
+    fn e2e_gate_fails_with_one_line_verdicts() {
+        let arm = |arm: &str, slots_per_sec: f64, fast_path_rate: f64| E2eArm {
+            scheme: "CORP".into(),
+            arm: arm.into(),
+            pretrain_secs: 0.0,
+            run_secs: 1.0,
+            slots_per_sec,
+            jobs_per_sec: 1.0,
+            fast_path_rate,
+            stripe_conflicts: 0,
+        };
+        let committed = serde::json::to_string(&E2eBaseline {
+            vms: 1,
+            jobs: 1,
+            fast: true,
+            arms: vec![arm("pooled", 100.0, 0.0), arm("sharded-8", 100.0, 0.5)],
+        });
+        assert_eq!(
+            e2e_gate(&committed, "c", &[arm("pooled", 85.0, 0.0)]),
+            Ok(())
+        );
+        let slow = e2e_gate(&committed, "c", &[arm("pooled", 70.0, 0.0)]).unwrap_err();
+        assert!(
+            slow.starts_with("perf regression: CORP pooled 70 slots/s"),
+            "{slow}"
+        );
+        assert!(!slow.contains('\n'), "{slow}");
+        let rate = e2e_gate(
+            &committed,
+            "c",
+            &[arm("pooled", 100.0, 0.0), arm("sharded-8", 100.0, 0.4)],
+        )
+        .unwrap_err();
+        assert!(rate.starts_with("fast-path regression"), "{rate}");
+        let missing = e2e_gate("{}", "c", &[]).unwrap_err();
+        assert_eq!(missing, "c: no CORP pooled slots_per_sec row");
     }
 }

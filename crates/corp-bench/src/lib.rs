@@ -17,9 +17,10 @@
 //! | DESIGN.md §6 | [`experiments::ablations`] | CORP component ablations |
 //! | DESIGN.md §2 (corp-cluster) | [`experiments::scalability`] | throughput/conflicts vs scheduler shard count |
 //!
-//! Sweeps fan out across OS threads with `std::thread::scope` — every cell
-//! of a figure is an independent, deterministic simulation, so the fan-out
-//! is embarrassingly parallel and data-race-free by construction.
+//! Sweeps fan out across a `corp-pool` worker pool, one worker per cell —
+//! every cell of a figure is an independent, deterministic simulation, so
+//! the fan-out is embarrassingly parallel and data-race-free by
+//! construction.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

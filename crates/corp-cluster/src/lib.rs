@@ -46,5 +46,5 @@ pub use health::{ShardHealth, ShardSlotOutcome};
 pub use provisioner::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
 pub use store::{
     FastPathMiss, PlacementStore, ReservationId, ReserveError, StoreCounters, TxnError,
-    DEFAULT_STRIPES, PARALLEL_BATCH_CUTOFF,
+    DEFAULT_STRIPES,
 };

@@ -41,18 +41,15 @@
 //! writer marks it invalidates, so a post-crash fast commit revalidates
 //! against the wiped ledger like any other claim.
 //!
-//! ## Batched rounds
+//! ## Batched confirms
 //!
-//! [`PlacementStore::reserve_batch`] / [`PlacementStore::confirm_batch`] /
-//! [`PlacementStore::fast_commit_batch`] submit a whole per-slot claim set
-//! in one round: requests are grouped by stripe and each stripe lock is
-//! acquired **once per round** instead of once per claim, amortizing lock
-//! traffic. Within a stripe, requests apply in submission order; across
-//! stripes they are independent (admission on one stripe never reads
-//! another), so a batch round is observationally identical to issuing the
-//! same calls one by one — the property tests pin that equivalence. Large
-//! fast-commit rounds additionally run stripes on scoped threads (stripes
-//! are disjoint, so the parallel round stays deterministic).
+//! [`PlacementStore::confirm_batch`] submits a whole per-slot set of
+//! phase-2 confirms in one round: ids are grouped by owning stripe and
+//! each stripe lock is acquired **once per round** instead of once per
+//! claim. Within a stripe, confirms apply in submission order; across
+//! stripes they are independent, so a batch round is observationally
+//! identical to issuing the same [`PlacementStore::confirm`] calls one by
+//! one.
 //!
 //! The store tracks capacity only; job identity, retry policy, and commit
 //! ordering belong to the coordinator
@@ -72,11 +69,6 @@ use parking_lot::Mutex;
 /// shard configurations the coordinator runs while costing nothing at one
 /// shard.
 pub const DEFAULT_STRIPES: usize = 16;
-
-/// Fast-commit batches at or above this size fan stripes out to scoped
-/// threads (when the host has more than one core); below it the
-/// per-stripe work cannot amortize a thread handoff.
-pub const PARALLEL_BATCH_CUTOFF: usize = 64;
 
 /// Handle to an open (reserved but not yet confirmed/aborted) reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -538,42 +530,9 @@ impl PlacementStore {
         Ok(())
     }
 
-    /// One batched phase-1 round: every request grouped by stripe, each
-    /// stripe lock acquired once (in canonical ascending order), requests
-    /// applied in submission order within a stripe. Because admission on
-    /// one stripe never reads another, the outcomes are exactly those of
-    /// issuing the same [`reserve`](Self::reserve) calls one by one —
-    /// pinned by the property tests — while a shard's whole per-slot
-    /// reserve set costs `O(stripes)` lock acquisitions instead of
-    /// `O(requests)`.
-    pub fn reserve_batch(
-        &self,
-        shard: usize,
-        requests: &[(usize, ResourceVector)],
-    ) -> Vec<Result<ReservationId, ReserveError>> {
-        let mut results = vec![Err(ReserveError::UnknownVm); requests.len()];
-        let mut by_stripe: Vec<Vec<usize>> = vec![Vec::new(); self.stripe_count];
-        for (i, &(vm, _)) in requests.iter().enumerate() {
-            if vm < self.num_vms {
-                by_stripe[self.stripe_of(vm)].push(i);
-            }
-        }
-        for (s, group) in by_stripe.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let mut stripe = self.stripes[s].lock();
-            for &i in group {
-                let (vm, amount) = requests[i];
-                results[i] = self.reserve_locked(&mut stripe, s, shard, vm, amount);
-            }
-        }
-        results
-    }
-
-    /// One batched phase-2 round over `ids` (commit side of
-    /// [`reserve_batch`](Self::reserve_batch)): grouped by owning stripe,
-    /// one lock acquisition per stripe in canonical order.
+    /// One batched phase-2 round over `ids`: grouped by owning stripe, one
+    /// lock acquisition per stripe in canonical order, confirms applied in
+    /// submission order within a stripe.
     pub fn confirm_batch(&self, ids: &[ReservationId]) -> Vec<Result<(), TxnError>> {
         let mut results = vec![Err(TxnError::UnknownReservation); ids.len()];
         let mut by_stripe: Vec<Vec<usize>> = vec![Vec::new(); self.stripe_count];
@@ -587,70 +546,6 @@ impl PlacementStore {
             let mut stripe = self.stripes[s].lock();
             for &i in group {
                 results[i] = Self::confirm_locked(&mut stripe, ids[i].0 / self.stripe_count as u64);
-            }
-        }
-        results
-    }
-
-    /// One batched optimistic round: `(shard, vm, amount)` claims grouped
-    /// by stripe, each stripe lock acquired once, claims applied in
-    /// submission order within a stripe. Stripes are mutually independent,
-    /// so large rounds fan the per-stripe groups out to scoped threads
-    /// (above [`PARALLEL_BATCH_CUTOFF`], multi-core hosts only) with
-    /// results identical to the sequential canonical-order round.
-    pub fn fast_commit_batch(
-        &self,
-        claims: &[(usize, usize, ResourceVector)],
-    ) -> Vec<Result<(), FastPathMiss>> {
-        let mut results = vec![Err(FastPathMiss::UnknownVm); claims.len()];
-        let mut by_stripe: Vec<Vec<usize>> = vec![Vec::new(); self.stripe_count];
-        for (i, &(_, vm, _)) in claims.iter().enumerate() {
-            if vm < self.num_vms {
-                by_stripe[self.stripe_of(vm)].push(i);
-            }
-        }
-        let run_stripe = |s: usize, group: &[usize], out: &mut [Result<(), FastPathMiss>]| {
-            let mut stripe = self.stripes[s].lock();
-            for (slot, &i) in group.iter().enumerate() {
-                let (shard, vm, amount) = claims[i];
-                out[slot] = self.fast_commit_locked(&mut stripe, shard, vm, amount);
-            }
-        };
-        let parallel = claims.len() >= PARALLEL_BATCH_CUTOFF
-            && by_stripe.iter().filter(|g| !g.is_empty()).count() > 1
-            && std::thread::available_parallelism().map_or(1, usize::from) > 1;
-        if parallel {
-            // Scatter per-stripe result slices to scoped threads; stripes
-            // never alias, so the round is schedule-independent.
-            let mut per_stripe_out: Vec<Vec<Result<(), FastPathMiss>>> = by_stripe
-                .iter()
-                .map(|g| vec![Err(FastPathMiss::UnknownVm); g.len()])
-                .collect();
-            std::thread::scope(|scope| {
-                let run_stripe = &run_stripe;
-                for ((s, group), out) in by_stripe.iter().enumerate().zip(&mut per_stripe_out) {
-                    if !group.is_empty() {
-                        scope.spawn(move || run_stripe(s, group, out));
-                    }
-                }
-            });
-            for (group, out) in by_stripe.iter().zip(per_stripe_out) {
-                for (&i, r) in group.iter().zip(out) {
-                    results[i] = r;
-                }
-            }
-        } else {
-            let mut scratch = Vec::new();
-            for (s, group) in by_stripe.iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                scratch.clear();
-                scratch.resize(group.len(), Err(FastPathMiss::UnknownVm));
-                run_stripe(s, group, &mut scratch);
-                for (&i, &r) in group.iter().zip(scratch.iter()) {
-                    results[i] = r;
-                }
             }
         }
         results
@@ -1060,16 +955,16 @@ mod tests {
     fn batched_rounds_match_sequential_semantics() {
         let store = striped_fleet(6, 3);
         let unit = rv(1.0, 1.0, 1.0);
-        let results = store.reserve_batch(
-            0,
-            &[
-                (0, unit),
-                (3, unit),
-                (1, rv(9.0, 1.0, 1.0)),
-                (9, unit),
-                (0, unit),
-            ],
-        );
+        let results: Vec<_> = [
+            (0, unit),
+            (3, unit),
+            (1, rv(9.0, 1.0, 1.0)),
+            (9, unit),
+            (0, unit),
+        ]
+        .into_iter()
+        .map(|(vm, amount)| store.reserve(0, vm, amount))
+        .collect();
         assert!(results[0].is_ok());
         assert!(results[1].is_ok());
         assert_eq!(results[2], Err(ReserveError::Conflict));
@@ -1087,30 +982,6 @@ mod tests {
         assert_eq!(store.free(0).unwrap(), rv(2.0, 2.0, 2.0));
         let c = store.counters();
         assert_eq!((c.reservations, c.commits, c.conflicts), (3, 3, 1));
-        assert!(store.holds_invariants(1e-9));
-    }
-
-    #[test]
-    fn fast_commit_batch_commits_disjoint_stripes_and_reports_misses() {
-        let store = striped_fleet(8, 4);
-        let unit = rv(1.0, 1.0, 1.0);
-        // Mark VM 2 contended for shard 1 first.
-        store.try_fast_commit(0, 2, unit).unwrap();
-        let results = store.fast_commit_batch(&[
-            (1, 0, unit),
-            (1, 1, unit),
-            (1, 2, unit),              // foreign writer -> Contended
-            (1, 3, rv(9.0, 1.0, 1.0)), // does not fit -> Conflict
-            (1, 42, unit),             // -> UnknownVm
-        ]);
-        assert!(results[0].is_ok());
-        assert!(results[1].is_ok());
-        assert_eq!(results[2], Err(FastPathMiss::Contended));
-        assert_eq!(results[3], Err(FastPathMiss::Conflict));
-        assert_eq!(results[4], Err(FastPathMiss::UnknownVm));
-        let c = store.counters();
-        assert_eq!(c.fast_commits, 3);
-        assert_eq!(c.epoch_conflicts, 1);
         assert!(store.holds_invariants(1e-9));
     }
 

@@ -50,21 +50,10 @@ pub struct CorpConfig {
     pub train: TrainConfig,
     /// RNG seed for any randomized decision (kept for reproducibility).
     pub seed: u64,
-    /// Fan the per-job DNN predictions of each provisioning window across
-    /// worker threads. Results are written by task index and consumed in
-    /// the serial order, so reports are byte-identical either way; `false`
-    /// is the A/B switch the determinism suite flips.
-    pub parallel_prediction: bool,
-    /// Run predictions on the persistent worker-pool runtime (`true`,
-    /// default: long-lived threads, scratch reused across windows) or the
-    /// legacy scoped-thread path (`false`: fresh threads and fresh scratch
-    /// every window). Reports are byte-identical either way; `false` is
-    /// the measured baseline arm of `corp-exp e2e`.
-    pub pooled_runtime: bool,
-    /// Pins the prediction fan-out width. `None` (default) uses the
-    /// `CORP_THREADS` environment override or the host's available
-    /// parallelism. Width only shapes chunking — results are byte-identical
-    /// at any width.
+    /// Pins the prediction fan-out width. `None` (default) uses the host's
+    /// available parallelism; `Some(1)` runs every window inline on the
+    /// caller thread. Width only shapes chunking — results are
+    /// byte-identical at any width.
     pub prediction_pool_width: Option<usize>,
 }
 
@@ -91,8 +80,6 @@ impl Default for CorpConfig {
                 ..TrainConfig::default()
             },
             seed: 0xC0 & 0xFF | 0xC000, // deterministic, arbitrary
-            parallel_prediction: true,
-            pooled_runtime: true,
             prediction_pool_width: None,
         }
     }

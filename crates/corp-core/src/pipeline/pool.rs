@@ -1,53 +1,55 @@
-//! The persistent prediction runtime: one [`PredictRuntime`] per predictor
-//! stage, owning a lazily-spawned [`WorkerPool`] and the per-worker scratch
-//! that persists across provisioning windows.
+//! The prediction runtime: one [`PredictRuntime`] per predictor stage,
+//! owning a lazily-spawned [`WorkerPool`] and the per-worker scratch that
+//! persists across provisioning windows.
 //!
-//! ## Two execution modes, one contract
-//!
-//! * [`RuntimeMode::Pooled`] (default) — dispatches each window's tasks to
-//!   long-lived `corp-predict-{i}` threads over crossbeam channels. Worker
-//!   scratch (DNN activation buffers, HMM decode buffers, series buffers)
-//!   is created once per worker and reset-not-reallocated per use. When
-//!   the effective width is 1 — small fleets below the serial cutoff, or a
-//!   single-core host — tasks run inline on the caller thread through a
-//!   runtime-owned persistent scratch: no channel round-trip, no parking,
-//!   and still zero per-window allocation.
-//! * [`RuntimeMode::Scoped`] — the pre-pool path: fresh scoped threads and
-//!   fresh `init()` scratch every window ([`fan_out`]). Kept as the
-//!   measured baseline arm of `corp-exp e2e` and for A/B determinism
-//!   tests.
+//! Each window's tasks are dispatched to long-lived `corp-predict-{i}`
+//! threads over crossbeam channels. Worker scratch (DNN activation
+//! buffers, HMM decode buffers, series buffers) is created once per worker
+//! and reset-not-reallocated per use. When the effective width is 1 —
+//! small fleets below [`SERIAL_FANOUT_CUTOFF`], a single-core host, or a
+//! stage pinned to width 1 — tasks run inline on the caller thread through
+//! a runtime-owned persistent scratch: no channel round-trip, no parking,
+//! and still zero per-window allocation. The inline path is the serial
+//! reference every wider fan-out must reproduce.
 //!
 //! ## Determinism argument
 //!
-//! Both modes chunk tasks into `ceil(n / width)` contiguous runs, execute
-//! chunk `i` on worker `i`, and write results by task index; predictor
-//! states only carry buffers that are fully overwritten before they are
-//! read plus order-independent counters (u64 adds) extracted per window by
-//! `finish`. Reports are therefore byte-identical across modes, widths,
-//! and hosts — pinned by the determinism suite and the pool-equivalence
-//! tests in `corp-bench`.
+//! Tasks are chunked into `ceil(n / width)` contiguous runs, chunk `i`
+//! executes on worker `i`, and results are written by task index;
+//! predictor states only carry buffers that are fully overwritten before
+//! they are read plus order-independent counters (u64 adds) extracted per
+//! window by `finish`. Reports are therefore byte-identical across widths
+//! and hosts — pinned by the golden-report suites in `corp-bench`.
 
-use crate::pipeline::fanout::{fan_out, fan_out_vm_predictions, prediction_threads};
 pub use corp_pool::{WorkerPool, WorkerScratch};
 use corp_sim::{ResourceVector, VmView};
 use std::any::Any;
+use std::sync::OnceLock;
 
-/// Which execution path a [`PredictRuntime`] drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuntimeMode {
-    /// Pre-pool path: fresh scoped threads and fresh scratch every window.
-    Scoped,
-    /// Persistent path: long-lived pool workers with reusable scratch
-    /// (inline with persistent scratch at width 1).
-    Pooled,
+/// Below this many tasks every fan-out runs inline: a prediction task is
+/// tens of microseconds of work, so for small fleets the per-window
+/// dispatch overhead exceeds the win. This is the fix for the
+/// `BENCH_hotpath.json` tuned-slower-than-baseline inversion on small
+/// workloads (DESIGN.md §9); inline and pooled results are bit-identical,
+/// so the cutoff never changes a report.
+pub const SERIAL_FANOUT_CUTOFF: usize = 64;
+
+/// Hardware parallelism, queried once per process (the old code re-asked
+/// `std::thread::available_parallelism` every provisioning window).
+pub fn hardware_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
-/// The per-stage prediction runtime: execution mode, fan-out width policy,
-/// the lazily-spawned worker pool, and the caller-thread scratch used by
-/// the width-1 pooled path.
+/// The per-stage prediction runtime: fan-out width policy, the
+/// lazily-spawned worker pool, and the caller-thread scratch used by the
+/// width-1 inline path.
+#[derive(Default)]
 pub struct PredictRuntime {
-    mode: RuntimeMode,
-    parallel: bool,
     width_override: Option<usize>,
     pool: Option<WorkerPool>,
     local: WorkerScratch,
@@ -56,8 +58,6 @@ pub struct PredictRuntime {
 impl std::fmt::Debug for PredictRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PredictRuntime")
-            .field("mode", &self.mode)
-            .field("parallel", &self.parallel)
             .field("width_override", &self.width_override)
             .field("pool_width", &self.pool.as_ref().map(WorkerPool::width))
             .finish()
@@ -65,47 +65,18 @@ impl std::fmt::Debug for PredictRuntime {
 }
 
 impl PredictRuntime {
-    /// A runtime in `mode`, with the parallel fan-out enabled or not.
-    pub fn new(mode: RuntimeMode, parallel: bool) -> Self {
-        PredictRuntime {
-            mode,
-            parallel,
-            width_override: None,
-            pool: None,
-            local: WorkerScratch::new(),
-        }
+    /// A runtime at the default width ([`hardware_parallelism`]).
+    pub fn new() -> Self {
+        PredictRuntime::default()
     }
 
-    /// The current execution mode.
-    pub fn mode(&self) -> RuntimeMode {
-        self.mode
-    }
-
-    /// Whether the persistent-pool path is active.
-    pub fn is_pooled(&self) -> bool {
-        self.mode == RuntimeMode::Pooled
-    }
-
-    /// Switches execution mode (reports are byte-identical either way).
-    pub fn set_mode(&mut self, mode: RuntimeMode) {
-        self.mode = mode;
-    }
-
-    /// Enables or disables the parallel fan-out (serial execution stays on
-    /// the persistent inline scratch in pooled mode).
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.parallel = enabled;
-    }
-
-    /// Whether the parallel fan-out is enabled.
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// Pins the fan-out width instead of the `CORP_THREADS` /
-    /// hardware-parallelism default. `None` restores the default. The
-    /// width only shapes the chunking — results are byte-identical at any
-    /// width.
+    /// Pins the fan-out width instead of the [`hardware_parallelism`]
+    /// default. `None` restores the default. The width only shapes the
+    /// chunking — results are byte-identical at any width.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Some(0)`.
     pub fn set_width(&mut self, width: Option<usize>) {
         assert!(width != Some(0), "pool width must be at least 1");
         self.width_override = width;
@@ -116,19 +87,19 @@ impl PredictRuntime {
         match self.width_override {
             // An explicit width skips the serial cutoff: equivalence tests
             // pin widths {1, 2, N} and must actually exercise them.
-            Some(w) if self.parallel && tasks >= 2 => w.min(tasks),
-            _ => prediction_threads(self.parallel, tasks),
+            Some(w) if tasks >= 2 => w.min(tasks),
+            _ if tasks < SERIAL_FANOUT_CUTOFF => 1,
+            _ => hardware_parallelism().min(tasks),
         }
     }
 
-    /// Fans `f` over `tasks` through the active execution path.
+    /// Fans `f` over `tasks`.
     ///
     /// Results land by task index in a vector pre-filled with `fill`; each
-    /// worker threads its calls through a state of type `S` (`init` on
-    /// first use — per window in scoped mode, once per worker in pooled
-    /// mode) and `finish` extracts the window's side-product from each
-    /// state after its chunk completes (e.g. `mem::take` of fallback
-    /// counters). The extractions are returned in chunk order.
+    /// worker threads its calls through a state of type `S` (`init` on the
+    /// worker's first use) and `finish` extracts the window's side-product
+    /// from each state after its chunk completes (e.g. `mem::take` of
+    /// fallback counters). The extractions are returned in chunk order.
     pub fn fan_out<I, T, S, D>(
         &mut self,
         tasks: &[I],
@@ -143,45 +114,34 @@ impl PredictRuntime {
         S: Any + Send,
         D: Send,
     {
-        match self.mode {
-            RuntimeMode::Scoped => {
-                let (results, mut states) = fan_out(tasks, self.parallel, fill, init, f);
-                let deltas = states.iter_mut().map(finish).collect();
-                (results, deltas)
+        let width = self.effective_width(tasks.len());
+        let mut results = vec![fill; tasks.len()];
+        if width <= 1 {
+            // Inline on the caller thread through the persistent local
+            // scratch: the zero-overhead path small windows and
+            // single-core hosts always take.
+            let state = self.local.get_or_insert_with(init);
+            for (task, slot) in tasks.iter().zip(results.iter_mut()) {
+                *slot = f(task, state);
             }
-            RuntimeMode::Pooled => {
-                let width = self.effective_width(tasks.len());
-                let mut results = vec![fill; tasks.len()];
-                if width <= 1 {
-                    // Inline on the caller thread through the persistent
-                    // local scratch: the zero-overhead path small windows
-                    // and single-core hosts always take.
-                    let state = self.local.get_or_insert_with(init);
-                    for (task, slot) in tasks.iter().zip(results.iter_mut()) {
-                        *slot = f(task, state);
-                    }
-                    let delta = finish(state);
-                    return (results, vec![delta]);
-                }
-                let pool = self.pool.get_or_insert_with(WorkerPool::new);
-                let deltas = pool.run_chunks(tasks, &mut results, width, &init, &f, &finish);
-                (results, deltas)
-            }
+            let delta = finish(state);
+            return (results, vec![delta]);
         }
+        let pool = self.pool.get_or_insert_with(WorkerPool::new);
+        let deltas = pool.run_chunks(tasks, &mut results, width, &init, &f, &finish);
+        (results, deltas)
     }
 
-    /// Fans the per-VM predictions of one window through the active path,
-    /// returning one slot per VM position (`None` for VMs with no jobs or
-    /// no forecast). Mirrors [`fan_out_vm_predictions`], including its
-    /// all-VMs-busy fast path.
+    /// Fans the per-VM predictions of one window, returning one slot per
+    /// VM position (`None` for VMs with no jobs or no forecast). When
+    /// every VM has jobs — the common case under load — the fleet slice
+    /// itself is the task list, skipping the intermediate index vector and
+    /// the scatter copy.
     pub fn fan_out_vms(
         &mut self,
         vms: &[VmView],
         predict: impl Fn(&VmView) -> Option<ResourceVector> + Sync,
     ) -> Vec<Option<ResourceVector>> {
-        if self.mode == RuntimeMode::Scoped {
-            return fan_out_vm_predictions(vms, self.parallel, predict);
-        }
         if vms.iter().all(|v| !v.jobs.is_empty()) {
             let (results, _) = self.fan_out(vms, None, || (), |vm, _: &mut ()| predict(vm), |_| ());
             return results;
@@ -211,12 +171,14 @@ impl PredictRuntime {
 mod tests {
     use super::*;
 
-    fn runtime(mode: RuntimeMode) -> PredictRuntime {
-        PredictRuntime::new(mode, true)
+    fn pinned(width: usize) -> PredictRuntime {
+        let mut rt = PredictRuntime::new();
+        rt.set_width(Some(width));
+        rt
     }
 
     #[test]
-    fn pooled_results_match_scoped_results() {
+    fn wide_results_match_inline_results() {
         let tasks: Vec<u64> = (0..200).collect();
         let run = |rt: &mut PredictRuntime| {
             rt.fan_out(
@@ -230,15 +192,14 @@ mod tests {
                 std::mem::take,
             )
         };
-        let (scoped, scoped_deltas) = run(&mut runtime(RuntimeMode::Scoped));
-        for width in [1, 2, 5] {
-            let mut rt = runtime(RuntimeMode::Pooled);
-            rt.set_width(Some(width));
-            let (pooled, deltas) = run(&mut rt);
-            assert_eq!(pooled, scoped, "width {width}");
+        let (inline, inline_deltas) = run(&mut pinned(1));
+        assert_eq!(inline_deltas, vec![200], "one inline state saw every task");
+        for width in [2, 5] {
+            let (wide, deltas) = run(&mut pinned(width));
+            assert_eq!(wide, inline, "width {width}");
             assert_eq!(
                 deltas.iter().sum::<u64>(),
-                scoped_deltas.iter().sum::<u64>(),
+                200,
                 "every task processed exactly once at width {width}"
             );
         }
@@ -246,8 +207,7 @@ mod tests {
 
     #[test]
     fn width_one_runs_inline_with_persistent_scratch() {
-        let mut rt = runtime(RuntimeMode::Pooled);
-        rt.set_width(Some(1));
+        let mut rt = pinned(1);
         let tasks = [(); 5];
         for round in 1u64..=3 {
             let (_, deltas) = rt.fan_out(
@@ -266,15 +226,14 @@ mod tests {
 
     #[test]
     fn serial_cutoff_applies_without_an_override() {
-        let rt = runtime(RuntimeMode::Pooled);
+        let rt = PredictRuntime::new();
         assert_eq!(rt.effective_width(1), 1);
         assert_eq!(
-            rt.effective_width(crate::pipeline::fanout::SERIAL_FANOUT_CUTOFF - 1),
+            rt.effective_width(SERIAL_FANOUT_CUTOFF - 1),
             1,
             "below the cutoff the fan-out is serial"
         );
-        let mut pinned = runtime(RuntimeMode::Pooled);
-        pinned.set_width(Some(3));
+        let pinned = pinned(3);
         assert_eq!(pinned.effective_width(8), 3, "explicit width wins");
         assert_eq!(pinned.effective_width(2), 2, "but never exceeds tasks");
         assert_eq!(pinned.effective_width(1), 1);
@@ -282,7 +241,7 @@ mod tests {
 
     #[test]
     fn serial_runtime_never_fans_out() {
-        let mut rt = PredictRuntime::new(RuntimeMode::Pooled, false);
+        let mut rt = pinned(1);
         assert_eq!(rt.effective_width(10_000), 1);
         let tasks: Vec<u64> = (0..100).collect();
         let (out, deltas) = rt.fan_out(&tasks, 0u64, || 0u64, |&t, _: &mut u64| t, |_| ());
@@ -293,6 +252,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_width_override_rejected() {
-        runtime(RuntimeMode::Pooled).set_width(Some(0));
+        PredictRuntime::new().set_width(Some(0));
     }
 }

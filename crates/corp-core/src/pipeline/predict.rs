@@ -8,8 +8,7 @@
 //!
 //! * [`CorpUsagePredictor`] — per-job DNN + HMM + CI (Eqs. 5–19) behind
 //!   the Eq. 21 preemption gate, fanned through the persistent
-//!   [`PredictRuntime`] (legacy scoped threads in
-//!   [`RuntimeMode::Scoped`]).
+//!   [`PredictRuntime`].
 //! * [`VmWindowPredictor`] — the baselines' per-VM forecasters
 //!   (exponential smoothing, FFT/Markov, run-time mean) behind one shared
 //!   observe/resolve loop, with [`FiniteGuard`] decorating the raw
@@ -17,7 +16,7 @@
 //!   before it can wedge a smoother.
 
 use crate::config::CorpConfig;
-use crate::pipeline::pool::{PredictRuntime, RuntimeMode};
+use crate::pipeline::pool::PredictRuntime;
 use crate::predictor::{CorpJobPredictor, PredictionScratch};
 use corp_sim::{ResourceVector, RunningJobView, SlotContext};
 use corp_trace::NUM_RESOURCES;
@@ -78,16 +77,9 @@ pub trait UsagePredictor {
     }
 }
 
-/// Builds the per-resource recent-unused series of one job view.
-pub(crate) fn job_unused_series(job: &RunningJobView) -> Vec<Vec<f64>> {
-    (0..NUM_RESOURCES)
-        .map(|k| job.recent_unused.iter().map(|u| u[k]).collect())
-        .collect()
-}
-
-/// [`job_unused_series`] into a reused buffer: same values, zero
-/// allocation once the buffers have grown to the window length. The pool
-/// runtime's per-task path.
+/// Builds the per-resource recent-unused series of one job view into a
+/// reused buffer: zero allocation once the buffers have grown to the
+/// window length.
 pub(crate) fn fill_job_series(job: &RunningJobView, series: &mut Vec<Vec<f64>>) {
     series.resize_with(NUM_RESOURCES, Vec::new);
     series.truncate(NUM_RESOURCES);
@@ -160,12 +152,7 @@ pub struct CorpUsagePredictor {
 impl CorpUsagePredictor {
     /// Builds the stage from a validated CORP configuration.
     pub fn new(config: &CorpConfig) -> Self {
-        let mode = if config.pooled_runtime {
-            RuntimeMode::Pooled
-        } else {
-            RuntimeMode::Scoped
-        };
-        let mut runtime = PredictRuntime::new(mode, config.parallel_prediction);
+        let mut runtime = PredictRuntime::new();
         runtime.set_width(config.prediction_pool_width);
         CorpUsagePredictor {
             predictor: CorpJobPredictor::new(config),
@@ -174,7 +161,7 @@ impl CorpUsagePredictor {
         }
     }
 
-    /// The prediction runtime (mode/width switches for A/B benchmarking).
+    /// The prediction runtime (fan-out width).
     pub fn runtime_mut(&mut self) -> &mut PredictRuntime {
         &mut self.runtime
     }
@@ -248,11 +235,10 @@ impl UsagePredictor for CorpUsagePredictor {
         // them through the prediction runtime. Each worker predicts through
         // its own scratch against the shared immutable predictor and writes
         // by task index, so the forecast — and everything downstream — is
-        // bit-identical to the serial path regardless of mode or thread
-        // count; fallback-counter deltas merge after the join (u64 adds,
-        // order-independent). In pooled mode worker scratch persists across
-        // windows (reset-not-reallocate); the scoped arm keeps the legacy
-        // fresh-scratch, allocating path for the A/B benchmark.
+        // bit-identical to the serial path regardless of thread count;
+        // fallback-counter deltas merge after the join (u64 adds,
+        // order-independent). Worker scratch persists across windows
+        // (reset-not-reallocate).
         let predictor = &self.predictor;
         let runtime = &mut self.runtime;
         let tasks = &mut self.tasks;
@@ -264,32 +250,20 @@ impl UsagePredictor for CorpUsagePredictor {
                 .filter(|(_, job)| !job.recent_unused.is_empty())
                 .map(move |(ji, _)| (vi, ji))
         }));
-        let persistent = runtime.is_pooled();
         let (u_hats, deltas) = runtime.fan_out(
             tasks.as_slice(),
             ResourceVector::ZERO,
-            move || {
-                if persistent {
-                    PredictionScratch::persistent()
-                } else {
-                    PredictionScratch::new()
-                }
-            },
+            PredictionScratch::new,
             |&(vi, ji), scratch: &mut PredictionScratch| {
                 let job = &ctx.vms[vi].jobs[ji];
-                if persistent {
-                    // Stage the series through the scratch-owned buffers
-                    // (taken out for the call to satisfy the borrow
-                    // checker; the buffers go straight back).
-                    let mut series = std::mem::take(&mut scratch.series);
-                    fill_job_series(job, &mut series);
-                    let out = predictor.predict_job_in(&series, &job.requested, scratch);
-                    scratch.series = series;
-                    out
-                } else {
-                    let series = job_unused_series(job);
-                    predictor.predict_job_in(&series, &job.requested, scratch)
-                }
+                // Stage the series through the scratch-owned buffers
+                // (taken out for the call to satisfy the borrow checker;
+                // the buffers go straight back).
+                let mut series = std::mem::take(&mut scratch.series);
+                fill_job_series(job, &mut series);
+                let out = predictor.predict_job_in(&series, &job.requested, scratch);
+                scratch.series = series;
+                out
             },
             |scratch| std::mem::take(&mut scratch.fallbacks),
         );
@@ -408,32 +382,24 @@ pub struct VmWindowPredictor<P> {
 }
 
 impl<P> VmWindowPredictor<P> {
-    /// Builds the stage around `core` with the parallel fan-out enabled.
+    /// Builds the stage around `core` at the default fan-out width.
     pub fn new(core: P) -> Self {
         VmWindowPredictor {
             core,
-            runtime: PredictRuntime::new(RuntimeMode::Pooled, true),
+            runtime: PredictRuntime::new(),
         }
     }
 
-    /// Builds the stage with the fan-out forced serial (schemes whose
-    /// per-VM forecast is too cheap to be worth a thread, e.g. DRA's
-    /// running mean).
+    /// Builds the stage with the fan-out pinned to width 1, inline on the
+    /// caller thread (schemes whose per-VM forecast is too cheap to be
+    /// worth a thread, e.g. DRA's running mean).
     pub fn serial(core: P) -> Self {
-        VmWindowPredictor {
-            core,
-            runtime: PredictRuntime::new(RuntimeMode::Pooled, false),
-        }
+        let mut stage = VmWindowPredictor::new(core);
+        stage.runtime.set_width(Some(1));
+        stage
     }
 
-    /// Enables or disables the parallel prediction fan-out (reports are
-    /// byte-identical either way; `false` is the determinism suite's A/B
-    /// switch).
-    pub fn set_parallel(&mut self, enabled: bool) {
-        self.runtime.set_parallel(enabled);
-    }
-
-    /// The prediction runtime (mode/width switches for A/B benchmarking).
+    /// The prediction runtime (fan-out width).
     pub fn runtime_mut(&mut self) -> &mut PredictRuntime {
         &mut self.runtime
     }

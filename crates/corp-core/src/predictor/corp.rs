@@ -84,46 +84,29 @@ impl FallbackCounters {
 /// back via [`CorpJobPredictor::merge_fallbacks`] after joining its
 /// threads.
 ///
-/// Two flavors exist. [`new`](Self::new) is the legacy per-window scratch:
-/// the HMM correction and the fallback ladder allocate per call, exactly
-/// as the pre-pool runtime did. [`persistent`](Self::persistent) is the
-/// pool runtime's worker-owned scratch: HMM decode buffers, the series
-/// staging buffers, and the fallback filter buffer all live across windows
-/// and are reset-not-reallocated per use. Predicted values are
-/// bit-identical either way.
+/// The prediction runtime keeps one per worker for the whole run: HMM
+/// decode buffers, the series staging buffers, and the fallback filter
+/// buffer all live across windows and are reset-not-reallocated per use.
 #[derive(Debug, Clone, Default)]
 pub struct PredictionScratch {
     nets: Vec<PredictScratch>,
-    /// HMM observation/trellis buffers (used only by persistent scratch).
+    /// HMM observation/trellis buffers.
     hmm: HmmScratch,
-    /// Staging for one job's per-resource recent-unused series (used by
-    /// the pool runtime to avoid the per-task series allocation).
+    /// Staging for one job's per-resource recent-unused series.
     pub(crate) series: Vec<Vec<f64>>,
     /// Finite-subset filter buffer for the fallback ladder.
     finite: Vec<f64>,
-    /// Whether buffer-reusing code paths are taken (`persistent()`).
-    persistent: bool,
     /// Fallback-rung increments recorded by predictions through this
     /// scratch.
     pub fallbacks: FallbackCounters,
 }
 
 impl PredictionScratch {
-    /// A fresh per-window scratch taking the legacy allocate-per-call HMM
-    /// and fallback paths (buffers sized lazily on first use).
+    /// A fresh scratch (buffers sized lazily on first use).
     pub fn new() -> Self {
         PredictionScratch {
             nets: (0..NUM_RESOURCES).map(|_| PredictScratch::new()).collect(),
             ..PredictionScratch::default()
-        }
-    }
-
-    /// A worker-owned scratch for the persistent pool runtime: all hot-path
-    /// buffers are reused across windows behind reset-not-reallocate.
-    pub fn persistent() -> Self {
-        PredictionScratch {
-            persistent: true,
-            ..PredictionScratch::new()
         }
     }
 
@@ -328,7 +311,7 @@ impl CorpJobPredictor {
     }
 
     /// [`predict_job`](Self::predict_job) through caller-provided scratch,
-    /// leaving the predictor immutable so scoped threads can fan a fleet's
+    /// leaving the predictor immutable so pool workers can fan a fleet's
     /// predictions over one shared `&CorpJobPredictor`. Values are
     /// bit-identical to the `&mut self` path; fallback-rung increments
     /// accumulate in `scratch.fallbacks` for the owner to merge after the
@@ -382,15 +365,10 @@ impl CorpJobPredictor {
         if healthy {
             // Step 1: DNN prediction (persistence fallback if untrained).
             let mut u_hat = self.dnn[k].predict_with(series, &mut scratch.nets[k]);
-            // Step 2: HMM peak/valley correction. Persistent scratch
-            // routes through the buffer-reusing decode; values are
-            // bit-identical to the allocating form.
+            // Step 2: HMM peak/valley correction through the
+            // buffer-reusing decode.
             if self.use_hmm {
-                u_hat = if scratch.persistent {
-                    self.hmm[k].adjust_with(u_hat, series, &mut scratch.hmm)
-                } else {
-                    self.hmm[k].adjust(u_hat, series)
-                };
+                u_hat = self.hmm[k].adjust_with(u_hat, series, &mut scratch.hmm);
             }
             // Step 3: confidence-interval lower bound (Eq. 19), on the
             // job's own scale.
@@ -413,9 +391,8 @@ impl CorpJobPredictor {
     /// 3. 0.0 — with no finite evidence, claim no unused resource (the
     ///    conservative end: nothing is reclaimed on a blind prediction).
     ///
-    /// Persistent scratch reuses the finite-subset buffer and the HMM
-    /// decode buffers; legacy scratch allocates both per call as the
-    /// pre-pool runtime did. Same values either way.
+    /// The finite-subset buffer and the HMM decode buffers are reused from
+    /// `scratch`.
     fn fallback_estimate_in(
         &self,
         k: usize,
@@ -427,12 +404,10 @@ impl CorpJobPredictor {
             .finite
             .extend(series.iter().copied().filter(|v| v.is_finite()));
         if let Some(&last) = scratch.finite.last() {
-            let adjusted = if !self.use_hmm {
-                last
-            } else if scratch.persistent {
+            let adjusted = if self.use_hmm {
                 self.hmm[k].adjust_with(last, &scratch.finite, &mut scratch.hmm)
             } else {
-                self.hmm[k].adjust(last, &scratch.finite)
+                last
             };
             if adjusted.is_finite() {
                 scratch.fallbacks.hmm_last_value += 1;

@@ -32,7 +32,6 @@ pub mod activation;
 pub mod autoencoder;
 pub mod matrix;
 pub mod network;
-pub mod parallel;
 pub mod predictor;
 pub mod train;
 
@@ -40,6 +39,5 @@ pub use activation::Activation;
 pub use autoencoder::Autoencoder;
 pub use matrix::Matrix;
 pub use network::{BatchScratch, Network, Scratch};
-pub use parallel::ParallelTrainer;
 pub use predictor::{PredictScratch, UnusedResourcePredictor, WindowPredictorConfig};
 pub use train::{TrainConfig, TrainReport, Trainer};

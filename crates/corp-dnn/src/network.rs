@@ -342,16 +342,10 @@ impl Network {
     }
 
     /// The pre-optimization per-sample training step, kept verbatim
-    /// (unfused forward, three-pass momentum update) as the reference
-    /// implementation the determinism suite A/Bs the fused kernels
-    /// against. Selected via `TrainConfig::reference_kernels`.
-    pub fn train_on_reference(
-        &mut self,
-        input: &[f64],
-        target: &[f64],
-        mu: f64,
-        momentum: f64,
-    ) -> f64 {
+    /// (unfused forward, three-pass momentum update) as the oracle the
+    /// fused kernels' bit-identity tests compare against.
+    #[cfg(test)]
+    fn train_on_reference(&mut self, input: &[f64], target: &[f64], mu: f64, momentum: f64) -> f64 {
         assert_eq!(target.len(), self.output_len(), "target length mismatch");
         self.ensure_scratch();
         assert_eq!(input.len(), self.input_len(), "input length mismatch");
@@ -784,7 +778,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_train_on_is_bit_identical_to_reference_kernels() {
+    fn fused_train_on_is_bit_identical_to_the_reference_step() {
         let mut fused = Network::new(&[2, 8, 4, 1], Activation::Sigmoid, Activation::Identity, 13);
         let mut reference = fused.clone();
         let (inputs, targets) = toy_dataset(30);

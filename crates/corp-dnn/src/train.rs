@@ -32,13 +32,7 @@ pub struct TrainConfig {
     pub patience: usize,
     /// Shuffle seed (training is deterministic per seed).
     pub seed: u64,
-    /// Run the pre-optimization per-sample kernels
-    /// ([`Network::train_on_reference`]) instead of the fused ones. The two
-    /// are bit-identical; this switch exists so the determinism suite can
-    /// A/B them end-to-end.
-    pub reference_kernels: bool,
-    /// Minibatch width for [`Trainer::train_minibatched`] and the parallel
-    /// trainer's shards.
+    /// Minibatch width for [`Trainer::train_minibatched`].
     pub batch_size: usize,
 }
 
@@ -52,7 +46,6 @@ impl Default for TrainConfig {
             tolerance: 1e-4,
             patience: 5,
             seed: 0x5EED,
-            reference_kernels: false,
             batch_size: 4,
         }
     }
@@ -127,21 +120,12 @@ impl Trainer {
         for _epoch in 0..self.config.max_epochs {
             train_order.shuffle(&mut rng);
             for &i in &train_order {
-                if self.config.reference_kernels {
-                    net.train_on_reference(
-                        &inputs[i],
-                        &targets[i],
-                        self.config.learning_rate,
-                        self.config.momentum,
-                    );
-                } else {
-                    net.train_on(
-                        &inputs[i],
-                        &targets[i],
-                        self.config.learning_rate,
-                        self.config.momentum,
-                    );
-                }
+                net.train_on(
+                    &inputs[i],
+                    &targets[i],
+                    self.config.learning_rate,
+                    self.config.momentum,
+                );
             }
             let val_mse = net.mse(&val_inputs, &val_targets);
             if stop.record(val_mse) {
@@ -357,33 +341,6 @@ mod tests {
                 .final_validation_mse
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn reference_kernels_reproduce_fused_training_bit_for_bit() {
-        let (inputs, targets) = toy_dataset(50);
-        let run = |reference_kernels| {
-            let mut net = Network::new(&[2, 8, 1], Activation::Sigmoid, Activation::Identity, 6);
-            let trainer = Trainer::new(TrainConfig {
-                reference_kernels,
-                max_epochs: 15,
-                patience: 50,
-                ..TrainConfig::default()
-            });
-            let report = trainer.train(&mut net, &inputs, &targets);
-            (
-                report
-                    .validation_history
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                net.layer_weights(0).as_slice().to_vec(),
-            )
-        };
-        let (fused_hist, fused_w) = run(false);
-        let (ref_hist, ref_w) = run(true);
-        assert_eq!(fused_hist, ref_hist);
-        assert_eq!(fused_w, ref_w);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Persistent worker pool for CORP's prediction fan-out.
 //!
-//! `corp-core::pipeline` used to spawn fresh OS threads through
-//! `std::thread::scope` every provisioning window and rebuild each worker's
-//! predictor scratch from nothing. This crate amortizes both costs across
-//! the whole simulation:
+//! `corp-core::pipeline` used to spawn fresh scoped OS threads every
+//! provisioning window and rebuild each worker's predictor scratch from
+//! nothing. This crate amortizes both costs across the whole simulation,
+//! and is the workspace's only data-parallel runtime:
 //!
 //! * [`WorkerPool`] owns long-lived named threads (`corp-predict-{i}`),
 //!   each parked on a blocking channel receive while idle;
@@ -11,8 +11,8 @@
 //!   predictor states (DNN activation buffers, HMM decode buffers, …) that
 //!   persists across dispatches behind a reset-not-reallocate discipline;
 //! * [`WorkerPool::run_chunks`] preserves the deterministic
-//!   contiguous-chunk task→worker mapping of the scoped path: chunk `i`
-//!   always runs on worker `i`, results land by task index, so everything
+//!   contiguous-chunk task→worker mapping: chunk `i` always runs on
+//!   worker `i`, results land by task index, so everything
 //!   downstream is byte-identical to a serial execution.
 //!
 //! ## Why this crate exists (and the one `unsafe` in the workspace)
@@ -229,8 +229,8 @@ impl WorkerPool {
             //   drops never dereference the borrows.
             //
             // Hence no worker can observe the borrowed stack frame after
-            // `run_chunks` returns, which is exactly the guarantee
-            // `std::thread::scope` provides by joining.
+            // `run_chunks` returns, which is exactly the guarantee a
+            // scoped thread provides by joining.
             let task: PoolTask = unsafe {
                 std::mem::transmute::<
                     Box<dyn FnOnce(&mut WorkerScratch) + Send + '_>,

@@ -54,12 +54,6 @@ pub struct SimulationOptions {
     /// resource types live on very different scales (cores vs. hundreds of
     /// GB), so a relative tolerance is the only meaningful one.
     pub prediction_eps_frac: f64,
-    /// Rebuild the per-slot provisioner views from freshly allocated
-    /// vectors every slot (the pre-pool engine behavior) instead of
-    /// rewriting persistent view buffers in place. View contents — and
-    /// therefore reports — are byte-identical either way; `true` is the
-    /// measured baseline arm of `corp-exp e2e`.
-    pub legacy_slot_views: bool,
     /// Recycle each job's arena slot (record, histories, SoA columns)
     /// as soon as it completes or is rejected, bounding engine memory by
     /// *active* jobs instead of total jobs submitted. Reports are
@@ -76,7 +70,6 @@ impl Default for SimulationOptions {
             max_slots: 100_000,
             measure_decision_time: true,
             prediction_eps_frac: 0.25,
-            legacy_slot_views: false,
             reclaim_completed: false,
         }
     }
@@ -364,155 +357,93 @@ impl SlotEngine {
 
         // 2. Ask the provisioner for a plan.
         let plan = {
-            if self.options.legacy_slot_views {
-                // Pre-pool path, kept as the measured baseline arm of
-                // `corp-exp e2e`: every slot drops the previous views
-                // and clones each job's history tails into fresh
-                // vectors. Identical contents to the in-place path.
-                self.vm_views.clear();
-                let store = &self.store;
-                let vm_unused_history = &self.vm_unused_history;
-                let vm_committed = &self.vm_committed;
-                let vm_jobs = &self.vm_jobs;
-                let faults = &self.faults;
-                self.vm_views.extend(self.cluster.vms.iter().map(|vm| {
-                    if faults.as_ref().is_some_and(|f| f.down[vm.id]) {
-                        return VmView {
-                            id: vm.id,
-                            capacity: ResourceVector::ZERO,
-                            committed: ResourceVector::ZERO,
-                            free: ResourceVector::ZERO,
-                            jobs: Vec::new(),
-                            unused_history: Vec::new(),
-                        };
-                    }
-                    let mut view = VmView {
-                        id: vm.id,
-                        capacity: vm.capacity,
-                        committed: vm_committed[vm.id],
-                        free: vm.capacity.saturating_sub(&vm_committed[vm.id]),
-                        jobs: vm_jobs[vm.id]
-                            .iter()
-                            .map(|&h| {
-                                let j = store.job(h);
-                                crate::provisioner::RunningJobView {
-                                    id: j.id(),
-                                    requested: store.requested(h),
-                                    allocation: store.allocation(h),
-                                    recent_demand: crate::ring::tail_of(&j.observed_demand)
-                                        .to_vec(),
-                                    recent_unused: crate::ring::tail_of(&j.observed_unused)
-                                        .to_vec(),
-                                }
-                            })
-                            .collect(),
-                        unused_history: vm_unused_history[vm.id].to_tail_vec(),
-                    };
-                    if let Some(kind) = faults.as_ref().and_then(|f| f.poison[vm.id]) {
-                        for job in &mut view.jobs {
-                            if let Some(v) = job.recent_demand.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
-                            if let Some(v) = job.recent_unused.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
+            // How often the provisioner reads deep history tails (see
+            // `Provisioner::full_view_period`). Off-period slots carry
+            // only the newest sample of each history, skipping the deep
+            // copies. The determinism suite holds window-driven
+            // provisioners to their declared period by rerunning them
+            // with full views every slot.
+            let full_view_period = provisioner.full_view_period().max(1);
+            let full = slot % full_view_period == 0;
+            let copy_history: &dyn Fn(&[ResourceVector], &mut Vec<ResourceVector>) =
+                if full { &copy_tail } else { &copy_newest };
+            let skip_enabled = self.faults.is_none();
+            for vm in &self.cluster.vms {
+                let view = &mut self.vm_views[vm.id];
+                // A down VM presents as zero capacity with nothing
+                // running: provisioners cannot place onto it, and
+                // sharded stores rebase it to an empty ledger.
+                if self.faults.as_ref().is_some_and(|f| f.down[vm.id]) {
+                    view.capacity = ResourceVector::ZERO;
+                    view.committed = ResourceVector::ZERO;
+                    view.free = ResourceVector::ZERO;
+                    view.jobs.clear();
+                    view.unused_history.clear();
+                    continue;
+                }
+                let occupants = &self.vm_jobs[vm.id];
+                // Idle-VM skip: nothing placed/completed here since the
+                // last rebuild (`!dirty`), same full/newest mode, and
+                // the unused-history ring was already saturated
+                // all-zero at that rebuild — every push since has been
+                // another zero evicting a zero, so a rebuild would
+                // reproduce the buffers bit for bit. Leave them be.
+                if skip_enabled
+                    && occupants.is_empty()
+                    && !self.view_dirty[vm.id]
+                    && self.view_last_full[vm.id] == Some(full)
+                    && self.view_zero_ok[vm.id]
+                {
+                    continue;
+                }
+                view.capacity = vm.capacity;
+                view.committed = self.vm_committed[vm.id];
+                view.free = vm.capacity.saturating_sub(&self.vm_committed[vm.id]);
+                // Match the view list to the VM's occupancy, keeping
+                // the history buffers of surviving entries alive.
+                view.jobs.truncate(occupants.len());
+                while view.jobs.len() < occupants.len() {
+                    view.jobs.push(crate::provisioner::RunningJobView {
+                        id: 0,
+                        requested: ResourceVector::ZERO,
+                        allocation: ResourceVector::ZERO,
+                        recent_demand: Vec::new(),
+                        recent_unused: Vec::new(),
+                    });
+                }
+                for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
+                    let j = self.store.job(h);
+                    jv.id = j.id();
+                    jv.requested = self.store.requested(h);
+                    jv.allocation = self.store.allocation(h);
+                    copy_history(&j.observed_demand, &mut jv.recent_demand);
+                    copy_history(&j.observed_unused, &mut jv.recent_unused);
+                }
+                let ring = &self.vm_unused_history[vm.id];
+                if full {
+                    ring.copy_all(&mut view.unused_history);
+                } else {
+                    ring.copy_newest(&mut view.unused_history);
+                }
+                self.view_dirty[vm.id] = false;
+                self.view_last_full[vm.id] = Some(full);
+                self.view_zero_ok[vm.id] = occupants.is_empty()
+                    && ring.len() == VIEW_HISTORY_CAP
+                    && self.zero_streak[vm.id] >= VIEW_HISTORY_CAP as u32;
+                // Poisoning corrupts only the monitoring tails the
+                // provisioner sees this slot; ground truth stays
+                // intact (the tails are rewritten from it next slot).
+                if let Some(kind) = self.faults.as_ref().and_then(|f| f.poison[vm.id]) {
+                    for job in &mut view.jobs {
+                        if let Some(v) = job.recent_demand.last_mut() {
+                            corrupt_vector(v, kind);
                         }
-                        if let Some(v) = view.unused_history.last_mut() {
+                        if let Some(v) = job.recent_unused.last_mut() {
                             corrupt_vector(v, kind);
                         }
                     }
-                    view
-                }));
-            } else {
-                // How often the provisioner reads deep history tails (see
-                // `Provisioner::full_view_period`). Off-period slots carry
-                // only the newest sample of each history, skipping the deep
-                // copies. The legacy path ignores this and always builds
-                // full views — the byte-identity check between the two
-                // `corp-exp e2e` arms is what holds window-driven
-                // provisioners to their declared period.
-                let full_view_period = provisioner.full_view_period().max(1);
-                let full = slot % full_view_period == 0;
-                let copy_history: &dyn Fn(&[ResourceVector], &mut Vec<ResourceVector>) =
-                    if full { &copy_tail } else { &copy_newest };
-                let skip_enabled = self.faults.is_none();
-                for vm in &self.cluster.vms {
-                    let view = &mut self.vm_views[vm.id];
-                    // A down VM presents as zero capacity with nothing
-                    // running: provisioners cannot place onto it, and
-                    // sharded stores rebase it to an empty ledger.
-                    if self.faults.as_ref().is_some_and(|f| f.down[vm.id]) {
-                        view.capacity = ResourceVector::ZERO;
-                        view.committed = ResourceVector::ZERO;
-                        view.free = ResourceVector::ZERO;
-                        view.jobs.clear();
-                        view.unused_history.clear();
-                        continue;
-                    }
-                    let occupants = &self.vm_jobs[vm.id];
-                    // Idle-VM skip: nothing placed/completed here since the
-                    // last rebuild (`!dirty`), same full/newest mode, and
-                    // the unused-history ring was already saturated
-                    // all-zero at that rebuild — every push since has been
-                    // another zero evicting a zero, so a rebuild would
-                    // reproduce the buffers bit for bit. Leave them be.
-                    if skip_enabled
-                        && occupants.is_empty()
-                        && !self.view_dirty[vm.id]
-                        && self.view_last_full[vm.id] == Some(full)
-                        && self.view_zero_ok[vm.id]
-                    {
-                        continue;
-                    }
-                    view.capacity = vm.capacity;
-                    view.committed = self.vm_committed[vm.id];
-                    view.free = vm.capacity.saturating_sub(&self.vm_committed[vm.id]);
-                    // Match the view list to the VM's occupancy, keeping
-                    // the history buffers of surviving entries alive.
-                    view.jobs.truncate(occupants.len());
-                    while view.jobs.len() < occupants.len() {
-                        view.jobs.push(crate::provisioner::RunningJobView {
-                            id: 0,
-                            requested: ResourceVector::ZERO,
-                            allocation: ResourceVector::ZERO,
-                            recent_demand: Vec::new(),
-                            recent_unused: Vec::new(),
-                        });
-                    }
-                    for (jv, &h) in view.jobs.iter_mut().zip(occupants) {
-                        let j = self.store.job(h);
-                        jv.id = j.id();
-                        jv.requested = self.store.requested(h);
-                        jv.allocation = self.store.allocation(h);
-                        copy_history(&j.observed_demand, &mut jv.recent_demand);
-                        copy_history(&j.observed_unused, &mut jv.recent_unused);
-                    }
-                    let ring = &self.vm_unused_history[vm.id];
-                    if full {
-                        ring.copy_all(&mut view.unused_history);
-                    } else {
-                        ring.copy_newest(&mut view.unused_history);
-                    }
-                    self.view_dirty[vm.id] = false;
-                    self.view_last_full[vm.id] = Some(full);
-                    self.view_zero_ok[vm.id] = occupants.is_empty()
-                        && ring.len() == VIEW_HISTORY_CAP
-                        && self.zero_streak[vm.id] >= VIEW_HISTORY_CAP as u32;
-                    // Poisoning corrupts only the monitoring tails the
-                    // provisioner sees this slot; ground truth stays
-                    // intact (the tails are rewritten from it next slot).
-                    if let Some(kind) = self.faults.as_ref().and_then(|f| f.poison[vm.id]) {
-                        for job in &mut view.jobs {
-                            if let Some(v) = job.recent_demand.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
-                            if let Some(v) = job.recent_unused.last_mut() {
-                                corrupt_vector(v, kind);
-                            }
-                        }
-                        if let Some(v) = view.unused_history.last_mut() {
-                            corrupt_vector(v, kind);
-                        }
+                    if let Some(v) = view.unused_history.last_mut() {
+                        corrupt_vector(v, kind);
                     }
                 }
             }
@@ -879,17 +810,6 @@ impl Simulation {
     pub fn with_fault_timeline(mut self, timeline: FaultTimeline) -> Self {
         self.engine = self.engine.with_fault_timeline(timeline);
         self
-    }
-
-    /// Builds a simulation with a fault schedule.
-    #[deprecated(note = "use `Simulation::new(...).with_fault_timeline(timeline)` instead")]
-    pub fn with_faults(
-        cluster: Cluster,
-        specs: Vec<JobSpec>,
-        options: SimulationOptions,
-        timeline: FaultTimeline,
-    ) -> Self {
-        Simulation::new(cluster, specs, options).with_fault_timeline(timeline)
     }
 
     /// Read access to the metrics collected so far (or after `run`).
@@ -1556,34 +1476,6 @@ mod tests {
         );
         assert_eq!(plain.slo_violation_rate, faulty.slo_violation_rate);
         assert_eq!(plain.invalid_actions, faulty.invalid_actions);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_faults_matches_the_builder() {
-        use corp_faults::{FaultEvent, FaultTimeline, TimedFault};
-        let jobs = small_workload(15, 27);
-        let opts = SimulationOptions {
-            measure_decision_time: false,
-            ..SimulationOptions::default()
-        };
-        let timeline = || {
-            FaultTimeline::new(vec![TimedFault {
-                slot: 2,
-                event: FaultEvent::VmCrash { vm: 0 },
-            }])
-        };
-        let via_alias = Simulation::with_faults(cluster(), jobs.clone(), opts.clone(), timeline())
-            .run(&mut StaticPeakProvisioner);
-        let via_builder = Simulation::new(cluster(), jobs, opts)
-            .with_fault_timeline(timeline())
-            .run(&mut StaticPeakProvisioner);
-        assert_eq!(via_alias.faults, via_builder.faults);
-        assert_eq!(via_alias.completed, via_builder.completed);
-        assert_eq!(
-            via_alias.overall_utilization.to_bits(),
-            via_builder.overall_utilization.to_bits()
-        );
     }
 
     #[test]

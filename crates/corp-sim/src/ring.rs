@@ -8,9 +8,8 @@
 //! byte-identical to the tail of the unbounded series it replaces.
 //!
 //! The tail-copy helpers ([`tail_of`], [`copy_tail`], [`copy_newest`])
-//! are the single implementation shared by the legacy per-slot view
-//! rebuild, the pooled in-place rewrite, and the ring itself; they used
-//! to be duplicated between the two engine paths.
+//! are the single implementation shared by the engine's in-place view
+//! rewrite and the ring itself.
 
 use crate::provisioner::VIEW_HISTORY_CAP;
 use crate::resources::ResourceVector;
@@ -104,14 +103,6 @@ impl BoundedRing {
         dst.extend(self.newest());
     }
 
-    /// The retained samples as a fresh chronological `Vec` (legacy view
-    /// path, which allocates per slot by design).
-    pub fn to_tail_vec(&self) -> Vec<ResourceVector> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        self.copy_all(&mut out);
-        out
-    }
-
     /// Drops every retained sample.
     pub fn clear(&mut self) {
         self.buf.clear();
@@ -140,7 +131,6 @@ mod tests {
             copy_tail(&unbounded, &mut from_vec);
             assert_eq!(from_ring, from_vec, "diverged after {} pushes", i + 1);
             assert_eq!(ring.newest(), unbounded.last().copied());
-            assert_eq!(ring.to_tail_vec(), from_vec);
         }
         assert_eq!(ring.len(), VIEW_HISTORY_CAP);
     }
@@ -173,7 +163,9 @@ mod tests {
         assert!(ring.is_empty());
         assert_eq!(ring.newest(), None);
         ring.push(v(1.0));
-        assert_eq!(ring.to_tail_vec(), vec![v(1.0)]);
+        let mut all = Vec::new();
+        ring.copy_all(&mut all);
+        assert_eq!(all, vec![v(1.0)]);
     }
 
     #[test]

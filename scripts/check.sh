@@ -8,8 +8,7 @@
 #                                 # crates/corp-faults/tests/soak.rs)
 #   scripts/check.sh perf-smoke   # hot-path throughput smoke: runs the
 #                                 # perf experiment (which panics on any
-#                                 # non-finite or zero throughput and on
-#                                 # tuned-vs-baseline divergence) and
+#                                 # non-finite or zero throughput) and
 #                                 # requires BENCH_hotpath.json output
 #   scripts/check.sh serve-smoke  # serving-mode smoke: a short trace
 #                                 # replay through the corp-serve daemon
@@ -37,7 +36,8 @@
 #                                 # end-to-end throughput gate: reruns the
 #                                 # e2e experiment (shard sweep included)
 #                                 # against the committed BENCH_e2e.json and
-#                                 # fails if CORP's pooled slots/sec drops
+#                                 # fails (one line, exit 2) if CORP's
+#                                 # pooled slots/sec drops
 #                                 # >20% below it, if the striped-store
 #                                 # sharded-8 arm falls >20% below its own
 #                                 # committed number (on multi-core hosts
