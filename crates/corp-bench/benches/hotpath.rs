@@ -1,10 +1,8 @@
 //! Hot-path microbenchmarks backing DESIGN.md §9's numbers:
 //!
-//! * DNN pretraining through the two kernel tiers — the fused per-sample
-//!   kernels and the blocked minibatch kernels (the throughput tier; the
-//!   acceptance bar is >= 2x over per-sample). Epoch counts are pinned
-//!   (patience can never trigger) so every tier does the same number of
-//!   dataset passes.
+//! * DNN pretraining through the fused per-sample kernels. The epoch
+//!   count is pinned (patience can never trigger), so every run does the
+//!   same number of dataset passes.
 //! * Best-fit placement over a large fleet — the incremental
 //!   [`VolumeIndex`] against the linear Eq. 22 scan it replaces, under
 //!   per-slot churn (each iteration updates one VM's pool, then answers
@@ -12,7 +10,7 @@
 
 use corp_cluster::PlacementStore;
 use corp_core::{most_matched_vm, VolumeIndex};
-use corp_dnn::{Activation, BatchScratch, Network, TrainConfig, Trainer};
+use corp_dnn::{Activation, Network, TrainConfig, Trainer};
 use corp_sim::ResourceVector;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -33,7 +31,7 @@ fn pretrain_dataset(n: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
 }
 
 /// Fixed-epoch training config (patience exceeds the epoch cap, so every
-/// kernel tier runs exactly `max_epochs` passes).
+/// run does exactly `max_epochs` passes).
 fn pinned_epochs() -> TrainConfig {
     TrainConfig {
         max_epochs: 8,
@@ -62,20 +60,6 @@ fn bench_dnn_pretrain(c: &mut Criterion) {
             Trainer::new(pinned_epochs())
                 .train(&mut n, black_box(&inputs), &targets)
                 .final_validation_mse
-        })
-    });
-    // The throughput tier: wide batches keep >= 16 independent f64 lanes in
-    // flight, hiding FMA latency the per-sample dot products are bound by.
-    group.bench_function("minibatched_fused", |b| {
-        b.iter(|| {
-            let mut n = net();
-            let mut scratch = BatchScratch::new();
-            Trainer::new(TrainConfig {
-                batch_size: 64,
-                ..pinned_epochs()
-            })
-            .train_minibatched(&mut n, black_box(&inputs), &targets, &mut scratch)
-            .final_validation_mse
         })
     });
     group.finish();
@@ -125,12 +109,9 @@ fn bench_best_fit(c: &mut Criterion) {
     group.finish();
 }
 
-/// Isolated kernel microbenches: one 50-unit layer at batch width 32, the
-/// shapes the minibatch trainer actually runs, plus the sigmoid cost floor
-/// (one pretrain run evaluates ~410k activations — that time is common to
-/// every kernel tier and bounds the speedup batching can deliver).
+/// The sigmoid cost floor: one pretrain run evaluates ~410k activations,
+/// time no change to the matrix kernels can remove.
 fn bench_kernels(c: &mut Criterion) {
-    use corp_dnn::Matrix;
     let mut group = c.benchmark_group("kernels");
     let xs: Vec<f64> = (0..410_000)
         .map(|i| (i as f64 * 0.001).sin() * 4.0)
@@ -144,24 +125,6 @@ fn bench_kernels(c: &mut Criterion) {
             }
             acc
         })
-    });
-    let w = Matrix::from_fn(50, 50, |r, c| ((r * 7 + c) as f64 * 0.01).sin());
-    let x = Matrix::from_fn(50, 32, |r, c| ((r + c * 3) as f64 * 0.02).cos());
-    let mut out = Matrix::zeros(50, 32);
-    group.bench_function("matmul_fused_50x50x32", |b| {
-        b.iter(|| w.matmul_fused_into(black_box(&x), &mut out, |_, acc| acc))
-    });
-    group.bench_function("matmul_transposed_50x50x32", |b| {
-        b.iter(|| w.matmul_transposed_into(black_box(&x), &mut out))
-    });
-    let mut grad = Matrix::zeros(50, 50);
-    group.bench_function("add_batch_outer_50x50x32", |b| {
-        b.iter(|| grad.add_batch_outer(black_box(&x), black_box(&out)))
-    });
-    let mut vel = Matrix::zeros(50, 50);
-    let mut wts = Matrix::from_fn(50, 50, |r, c| ((r + c) as f64 * 0.01).cos());
-    group.bench_function("momentum_step_50x50", |b| {
-        b.iter(|| wts.momentum_step_from(&mut vel, black_box(&grad), 0.5, 0.001))
     });
     group.finish();
 }

@@ -129,15 +129,10 @@ fn main() {
         ("ablations", Box::new(experiments::ablations)),
         ("scalability", Box::new(experiments::scalability)),
         ("faults", Box::new(experiments::availability)),
-        ("perf", Box::new(experiments::perf)),
+        ("perf", Box::new(|fast| or_exit(experiments::perf(fast)))),
         (
             "e2e",
-            Box::new(move |fast| {
-                experiments::e2e(fast, shards).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                })
-            }),
+            Box::new(move |fast| or_exit(experiments::e2e(fast, shards))),
         ),
     ];
 
@@ -207,4 +202,13 @@ fn run_subcommand<A>(
             std::process::exit(2);
         }
     }
+}
+
+/// Unwraps a batch runner's figure; a failed run (a perf or e2e gate
+/// verdict) prints its one line and exits 2.
+fn or_exit(figure: Result<FigureTable, String>) -> FigureTable {
+    figure.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }

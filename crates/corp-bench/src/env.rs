@@ -252,14 +252,7 @@ pub fn build_supervised_provisioner(
         SchemeKind::CloudScale => corp_core::cloudscale_factories(params.seed, shards),
         SchemeKind::Dra => corp_core::dra_factories(params.seed, shards),
     };
-    ShardedProvisioner::with_factories(
-        scheme.name(),
-        factories,
-        ShardConfig {
-            fault_plan,
-            ..ShardConfig::default()
-        },
-    )
+    ShardedProvisioner::with_factories(scheme.name(), factories, ShardConfig { fault_plan })
 }
 
 /// Runs one cell under a deterministic fault schedule: `fault_config`'s

@@ -496,9 +496,14 @@ pub const PERF_BASELINE_FILE: &str = "BENCH_hotpath.json";
 /// (Fig. 6's 300-job cluster column), timed best-of-3. Cells run
 /// sequentially — not fanned out — so each wall-clock measurement owns the
 /// machine's cores. Writes [`PERF_BASELINE_FILE`] next to the table it
-/// returns; panics on non-finite or zero throughput so the smoke gate
+/// returns.
+///
+/// # Errors
+///
+/// A one-line verdict when a row has a non-finite metric or a zero
+/// throughput, or when the baseline cannot be written, so the smoke gate
 /// fails loudly.
-pub fn perf(fast: bool) -> FigureTable {
+pub fn perf(fast: bool) -> Result<FigureTable, String> {
     const JOBS: usize = 300;
     let mut arms: Vec<PerfArm> = Vec::new();
     for &scheme in &ALL_SCHEMES {
@@ -541,24 +546,10 @@ pub fn perf(fast: bool) -> FigureTable {
             jobs_per_sec: report.completed as f64 / wall,
             predictions_per_sec: report.predictions_resolved as f64 / wall,
         };
-        for (metric, v) in [
-            ("pretrain_secs", row.pretrain_secs),
-            ("run_secs", row.run_secs),
-            ("slots_per_sec", row.slots_per_sec),
-            ("jobs_per_sec", row.jobs_per_sec),
-            ("predictions_per_sec", row.predictions_per_sec),
-        ] {
-            assert!(v.is_finite(), "{}: non-finite {metric}", row.scheme);
-        }
-        assert!(
-            row.slots_per_sec > 0.0 && row.jobs_per_sec > 0.0 && row.predictions_per_sec > 0.0,
-            "{}: zero throughput: {row:?}",
-            row.scheme
-        );
+        perf_verdict(&row)?;
         arms.push(row);
     }
-    std::fs::write(PERF_BASELINE_FILE, serde::json::to_string(&arms))
-        .expect("write perf baseline json");
+    write_baseline(PERF_BASELINE_FILE, &serde::json::to_string(&arms))?;
     let mut table = TextTable::new(
         "Perf — hot-path throughput (pooled prediction + fused DNN kernels); cluster, 300 jobs",
         &[
@@ -581,7 +572,7 @@ pub fn perf(fast: bool) -> FigureTable {
         ]);
     }
     let cores = hardware_parallelism();
-    FigureTable {
+    Ok(FigureTable {
         id: "perf".into(),
         table,
         notes: vec![
@@ -590,7 +581,33 @@ pub fn perf(fast: bool) -> FigureTable {
                 "host parallelism: {cores} core(s) — the prediction fan-out needs >1 core to show"
             ),
         ],
+    })
+}
+
+/// The perf smoke check on one row: `Err` carries the one-line verdict
+/// naming the first non-finite metric, or the zero throughput.
+fn perf_verdict(row: &PerfArm) -> Result<(), String> {
+    for (metric, v) in [
+        ("pretrain_secs", row.pretrain_secs),
+        ("run_secs", row.run_secs),
+        ("slots_per_sec", row.slots_per_sec),
+        ("jobs_per_sec", row.jobs_per_sec),
+        ("predictions_per_sec", row.predictions_per_sec),
+    ] {
+        if !v.is_finite() {
+            return Err(format!("perf: {}: non-finite {metric}", row.scheme));
+        }
     }
+    if row.slots_per_sec > 0.0 && row.jobs_per_sec > 0.0 && row.predictions_per_sec > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("perf: {}: zero throughput: {row:?}", row.scheme))
+    }
+}
+
+/// Writes a machine-readable baseline; `Err` is the one-line verdict.
+fn write_baseline(path: &str, json: &str) -> Result<(), String> {
+    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
 }
 
 /// One timed arm of the end-to-end throughput benchmark (`BENCH_e2e.json`
@@ -807,8 +824,7 @@ pub fn e2e(fast: bool, shards: Option<usize>) -> Result<FigureTable, String> {
         fast,
         arms: arms.clone(),
     };
-    std::fs::write(E2E_BASELINE_FILE, serde::json::to_string(&baseline))
-        .map_err(|e| format!("write {E2E_BASELINE_FILE}: {e}"))?;
+    write_baseline(E2E_BASELINE_FILE, &serde::json::to_string(&baseline))?;
     let mut table = TextTable::new(
         format!(
             "E2E — end-to-end throughput, monolithic (pooled) vs striped-store shard sweep \
@@ -1137,6 +1153,31 @@ mod tests {
         for s in ALL_SCHEMES {
             assert_eq!(aggressiveness_grid(s).len(), 6, "{s:?}");
         }
+    }
+
+    #[test]
+    fn perf_fails_with_one_line_verdicts() {
+        let row = |slots_per_sec: f64, run_secs: f64| PerfArm {
+            scheme: "CORP".into(),
+            arm: "tuned".into(),
+            pretrain_secs: 0.5,
+            run_secs,
+            slots_per_sec,
+            jobs_per_sec: 1.0,
+            predictions_per_sec: 1.0,
+        };
+        assert_eq!(perf_verdict(&row(100.0, 1.0)), Ok(()));
+        let nan = perf_verdict(&row(100.0, f64::NAN)).unwrap_err();
+        assert_eq!(nan, "perf: CORP: non-finite run_secs");
+        let zero = perf_verdict(&row(0.0, 1.0)).unwrap_err();
+        assert!(zero.starts_with("perf: CORP: zero throughput"), "{zero}");
+        assert!(!zero.contains('\n'), "{zero}");
+        let unwritable = write_baseline("no-such-dir/BENCH_hotpath.json", "[]").unwrap_err();
+        assert!(
+            unwritable.starts_with("write no-such-dir/BENCH_hotpath.json: "),
+            "{unwritable}"
+        );
+        assert!(!unwritable.contains('\n'), "{unwritable}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Typed control-plane failures.
 //!
-//! The coordinator never panics on a sick worker: every failure is either
+//! The coordinator never panics on a sick shard: every failure is either
 //! recovered in place (restart + inline scheduling) or recorded here and
 //! surfaced through [`ShardedProvisioner::errors`](crate::ShardedProvisioner::errors).
 
@@ -9,26 +9,19 @@ use std::fmt;
 /// A control-plane failure observed by the shard supervisor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterError {
-    /// The OS refused to spawn a shard's worker thread.
+    /// The OS refused to spawn the pool worker a shard runs on.
     SpawnFailed {
         /// Shard whose worker could not be spawned.
         shard: usize,
         /// The underlying `io::Error`, stringified (io::Error: !Clone).
         reason: String,
     },
-    /// A worker died (panic, scheduled kill, or closed channel) and no
-    /// factory was registered to rebuild its provisioner, so the
-    /// coordinator schedules the shard inline permanently.
+    /// A shard's pipeline died (panic or scheduled kill) and no factory
+    /// was registered to rebuild it, so the coordinator schedules the
+    /// shard inline permanently.
     WorkerUnrecoverable {
-        /// Shard left without a worker.
+        /// Shard left without a pipeline.
         shard: usize,
-    },
-    /// A worker's reply missed the real-time timeout safety net.
-    ReplyTimeout {
-        /// Shard whose reply timed out.
-        shard: usize,
-        /// Slot being provisioned when the timeout tripped.
-        slot: u64,
     },
 }
 
@@ -41,11 +34,8 @@ impl fmt::Display for ClusterError {
             ClusterError::WorkerUnrecoverable { shard } => {
                 write!(
                     f,
-                    "shard {shard} worker died with no factory to rebuild it; scheduling inline"
+                    "shard {shard} pipeline died with no factory to rebuild it; scheduling inline"
                 )
-            }
-            ClusterError::ReplyTimeout { shard, slot } => {
-                write!(f, "shard {shard} reply timed out at slot {slot}")
             }
         }
     }
@@ -61,7 +51,10 @@ mod tests {
     fn errors_render_the_shard_involved() {
         let e = ClusterError::WorkerUnrecoverable { shard: 3 };
         assert!(e.to_string().contains("shard 3"));
-        let t = ClusterError::ReplyTimeout { shard: 1, slot: 42 };
-        assert!(t.to_string().contains("slot 42"));
+        let s = ClusterError::SpawnFailed {
+            shard: 1,
+            reason: "no threads left".into(),
+        };
+        assert!(s.to_string().contains("shard 1"));
     }
 }

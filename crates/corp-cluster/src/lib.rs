@@ -15,20 +15,22 @@
 //!   (`job_id % num_shards`) and per-shard context narrowing, so shards
 //!   contend only on capacity, never on the same job.
 //! * [`ShardedProvisioner`] — the coordinator adapting N independent
-//!   scheduler shards (each a full `Provisioner` pipeline on its own
-//!   thread) to the engine's interface: parallel proposal generation,
-//!   then deterministic sequential arbitration through the store with
-//!   bounded best-fit retry on reservation conflicts.
+//!   scheduler shards (each a full `Provisioner` pipeline) to the engine's
+//!   interface: parallel proposal generation, one task per shard on a
+//!   `corp-pool` `WorkerPool` over the borrowed slot context, then
+//!   deterministic sequential arbitration through the store with bounded
+//!   best-fit retry on reservation conflicts.
 //!
 //! With one shard the coordinator reproduces the wrapped scheduler's
 //! decisions exactly; with many it reports throughput and contention via
 //! [`corp_sim::ControlPlaneStats`] in the simulation report.
 //!
-//! The coordinator also supervises its workers: worker bodies run under
-//! `catch_unwind`, scheduled chaos (a [`corp_faults::ControlFaultPlan`])
-//! can kill workers and drop or delay messages, and every failure is
-//! either recovered (factory restart + inline scheduling for the missed
-//! slot) or recorded as a typed [`ClusterError`] — never a panic.
+//! The coordinator also supervises its shards: every call into a shard's
+//! pipeline runs under `catch_unwind`, scheduled chaos (a
+//! [`corp_faults::ControlFaultPlan`]) can kill shards and drop or delay
+//! their proposals, and every failure is either recovered (factory
+//! rebuild + inline scheduling for the missed slot) or recorded as a
+//! typed [`ClusterError`] — never a panic.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,16 +1,15 @@
 //! The sharded control-plane coordinator, adapting N scheduler shards to
 //! the engine's single-`Provisioner` interface.
 //!
-//! Each shard is a long-lived worker thread owning one full scheduler
-//! pipeline, fed over crossbeam channels (spawning threads per slot would
-//! put coordination overhead on the critical path of every decision).
-//! Each slot then runs in two phases:
+//! Each shard owns one full scheduler pipeline. The shards run as tasks on
+//! one long-lived [`WorkerPool`] as wide as the shard count (spawning
+//! threads per slot would put coordination overhead on the critical path
+//! of every decision). Each slot then runs in two phases:
 //!
-//! 1. **Propose (parallel).** The coordinator snapshots the fleet once
-//!    (shared read-only via `Arc`) and posts it to every shard; each
-//!    worker builds its own narrowed view — only the jobs it owns, see
-//!    [`crate::shard`] — runs its pipeline, and ships its
-//!    [`ProvisionPlan`] back on its reply channel.
+//! 1. **Propose (parallel).** One pool dispatch over the engine's borrowed
+//!    [`SlotContext`]: each shard task narrows the fleet to the jobs its
+//!    shard owns (see [`crate::shard`]) into a view buffer the shard keeps
+//!    across slots, runs its pipeline, and returns its [`ProvisionPlan`].
 //! 2. **Arbitrate (sequential, deterministic).** The coordinator replays
 //!    the proposals against the striped [`PlacementStore`] in a fixed
 //!    order — allocation adjustments first (shrinks before grows, as the
@@ -39,20 +38,20 @@
 //!
 //! ## Supervision
 //!
-//! The coordinator assumes workers can die at any point: worker bodies run
-//! under `catch_unwind`, replies are slot-tagged and waited on with a
-//! bounded timeout, and a scheduled [`ControlFaultPlan`] can kill workers,
-//! drop requests, or delay replies deterministically. Whenever a shard
-//! produces no usable plan for a slot — dead worker, lost request, late
-//! reply — the coordinator schedules that shard's jobs *inline* with a
-//! conservative static-peak pass (full-request first fit over the shard's
-//! narrowed view), merged at the shard's own index so arbitration order is
-//! unchanged. Dead workers are rebuilt from their
+//! The coordinator assumes a shard's pipeline can fail at any point: every
+//! call into it runs under `catch_unwind`, and a scheduled
+//! [`ControlFaultPlan`] can kill a shard (drop its pipeline), drop its
+//! dispatch, or delay its plan past the slot, deterministically. Whenever
+//! a shard produces no usable plan for a slot — dead pipeline, lost
+//! dispatch, late plan — the coordinator schedules that shard's jobs
+//! *inline* with a conservative static-peak pass (full-request first fit
+//! over the shard's narrowed view), merged at the shard's own index so
+//! arbitration order is unchanged. Dead pipelines are rebuilt from their
 //! [`ProvisionerFactory`] when one was registered
 //! ([`ShardedProvisioner::with_factories`]); without a factory the shard
-//! degrades to permanent inline scheduling and a typed
-//! [`ClusterError`] is recorded. No channel failure panics the
-//! coordinator.
+//! degrades to permanent inline scheduling and a typed [`ClusterError`]
+//! is recorded. Neither a shard failure nor a failure to spawn a pool
+//! thread panics the coordinator.
 //!
 //! Determinism: proposal generation is per-shard deterministic (each shard
 //! owns its RNG/predictor state), arbitration order is a pure function
@@ -62,109 +61,69 @@
 //! thread-safe for genuinely racing users.
 
 use corp_faults::ControlFaultPlan;
+use corp_pool::WorkerPool;
 use corp_sim::control_plane::{ControlPlaneStats, ShardStats};
 use corp_sim::{
-    JobCompletion, JobId, PendingJobView, Placement, ProvisionPlan, Provisioner, ResourceVector,
-    SlotContext, StaticPeakProvisioner, VmView,
+    JobCompletion, JobId, Placement, ProvisionPlan, Provisioner, ResourceVector, SlotContext,
+    StaticPeakProvisioner, VmView,
 };
-use crossbeam::channel::RecvTimeoutError;
+use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Duration;
 
 use crate::backend::TwoPhaseBackend;
 use crate::error::ClusterError;
 use crate::health::{ShardHealth, ShardSlotOutcome};
-use crate::shard::{
-    copy_vm_views_into, owner_of, shard_pending, shard_vm_views, shard_vm_views_into,
-};
+use crate::shard::{owner_of, shard_pending, shard_vm_views, shard_vm_views_into};
 use crate::store::PlacementStore;
 use corp_core::pipeline::PlacementBackend;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Rebuilds one shard's scheduler pipeline after its worker dies.
+/// Rebuilds one shard's scheduler pipeline after it dies.
 pub type ProvisionerFactory = Box<dyn Fn() -> Box<dyn Provisioner + Send> + Send>;
 
+/// Alternative-VM attempts after a placement's first reservation
+/// conflicts; past the budget the proposal aborts to the pending queue.
+const MAX_RETRIES: usize = 3;
+
 /// Coordinator knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
-    /// Alternative-VM attempts after a placement's first reservation
-    /// conflicts; past the budget the proposal aborts to the pending queue.
-    pub max_retries: usize,
-    /// Real-time safety net on worker replies. Deterministic chaos uses
-    /// explicit kill/delay events instead; this only trips for a genuinely
-    /// wedged worker, so it is generous by default.
-    pub recv_timeout: Duration,
-    /// Scheduled control-plane chaos (worker kills, request drops, reply
+    /// Scheduled control-plane chaos (shard kills, dispatch drops, plan
     /// delays); `None` runs fault-free.
     pub fault_plan: Option<ControlFaultPlan>,
 }
 
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig {
-            max_retries: 3,
-            recv_timeout: Duration::from_secs(30),
-            fault_plan: None,
-        }
-    }
+/// The state a shard's pool task works on: its pipeline and the buffer its
+/// narrowed fleet view is rebuilt in every slot (steady state reuses every
+/// inner allocation — job vectors, history tails). Only the shard's own
+/// task locks it during a dispatch, so the mutex is never contended; it is
+/// how a task reached through the pool's shared closure gets `&mut` access.
+struct ShardPipeline {
+    /// `None` while the shard is dead (killed, panicked, or without a pool
+    /// worker), until the supervisor rebuilds it.
+    inner: Option<Box<dyn Provisioner + Send>>,
+    vms: Vec<VmView>,
 }
 
-/// Work posted to a shard's worker thread.
-enum ShardRequest {
-    /// Propose a plan for one slot over the shared fleet snapshot.
-    Provision {
-        slot: u64,
-        vms: Arc<Vec<VmView>>,
-        pending: Arc<Vec<PendingJobView>>,
-        committed: Arc<Vec<ResourceVector>>,
-        max_vm_capacity: ResourceVector,
-    },
-    /// Fold one slot's completed jobs (every completion owned by this
-    /// shard, in completion order) into the shard's training corpus — one
-    /// message per shard per slot rather than one per job.
-    JobsCompleted { jobs: Vec<JobCompletion> },
-    /// Brownout posture broadcast from the coordinator: the worker applies
-    /// it to its inner pipeline before the next provision request.
-    SetServiceLevel(u8),
-    /// Chaos: exit immediately, as an unplanned worker crash would.
-    Die,
-}
-
-/// A worker's answer for one slot. `plan: None` reports a caught panic —
-/// the worker exits right after sending it and waits to be rebuilt.
-struct ShardReply {
-    slot: u64,
-    plan: Option<ProvisionPlan>,
-}
-
-/// One long-lived scheduler shard: its pipeline runs on a dedicated thread,
-/// driven by `requests`; slot-tagged replies come back on `replies`.
-struct Worker {
-    /// `None` once shutdown has begun (dropping the sender stops the loop)
-    /// or while the worker is dead awaiting restart.
-    requests: Option<crossbeam::channel::Sender<ShardRequest>>,
-    replies: crossbeam::channel::Receiver<ShardReply>,
-    handle: Option<std::thread::JoinHandle<()>>,
+/// The coordinator's bookkeeping for one shard.
+struct Shard {
     stats: ShardStats,
-    /// Whether the coordinator believes the worker thread is serving.
-    alive: bool,
-    /// Dead with no way back (no factory, or respawn failed): the
+    /// Dead with no way back (no factory, or no pool worker): the
     /// coordinator schedules this shard inline permanently.
     failed: bool,
-    /// Rebuilds the inner provisioner after a death, when registered.
+    /// Rebuilds the pipeline after a death, when registered.
     factory: Option<ProvisionerFactory>,
     /// External supervisor (circuit breaker) holds this shard isolated:
-    /// schedule it inline without dispatching to the worker.
+    /// schedule it inline without dispatching it.
     forced_inline: bool,
     /// What happened on the most recent provisioning slot.
     last_outcome: ShardSlotOutcome,
-    /// The inner pipeline's [`Provisioner::full_view_period`], captured
-    /// before the pipeline moves onto its worker thread: the coordinator
-    /// advertises the gcd of its shards' periods, so every shard still
-    /// sees deep view histories exactly on its own window boundaries.
+    /// The pipeline's [`Provisioner::full_view_period`], captured when it
+    /// is built: the coordinator advertises the gcd of its shards'
+    /// periods, so every shard still sees deep view histories exactly on
+    /// its own window boundaries.
     view_period: u64,
 }
 
@@ -178,160 +137,63 @@ struct RecoveryCounters {
     isolated_slots: u64,
     messages_dropped: u64,
     messages_delayed: u64,
-    recv_timeouts: u64,
 }
 
-type WorkerChannels = (
-    crossbeam::channel::Sender<ShardRequest>,
-    crossbeam::channel::Receiver<ShardReply>,
-    std::thread::JoinHandle<()>,
-);
-
-fn spawn_worker(
+/// Runs one shard's pipeline over its narrowed view of `ctx`. `None`
+/// reports a caught panic: the pipeline may hold arbitrary state mid-panic,
+/// so the coordinator drops it and rebuilds it from the factory.
+fn run_shard(
+    pipeline: &Mutex<ShardPipeline>,
+    ctx: &SlotContext<'_>,
     shard: usize,
     num_shards: usize,
-    inner: Box<dyn Provisioner + Send>,
-) -> Result<WorkerChannels, ClusterError> {
-    let (req_tx, req_rx) = crossbeam::channel::unbounded();
-    let (reply_tx, reply_rx) = crossbeam::channel::unbounded();
-    std::thread::Builder::new()
-        .name(format!("corp-shard-{shard}"))
-        .spawn(move || worker_loop(shard, num_shards, inner, req_rx, reply_tx))
-        .map(|handle| (req_tx, reply_rx, handle))
-        .map_err(|e| ClusterError::SpawnFailed {
-            shard,
-            reason: e.to_string(),
+) -> Option<ProvisionPlan> {
+    let mut pipeline = pipeline.lock();
+    let ShardPipeline { inner, vms } = &mut *pipeline;
+    // Only shards with a pipeline are dispatched.
+    let inner = inner.as_mut()?;
+    catch_unwind(AssertUnwindSafe(|| {
+        shard_vm_views_into(ctx.vms, shard, num_shards, vms);
+        let pending = shard_pending(ctx.pending, shard, num_shards);
+        inner.provision(&SlotContext {
+            slot: ctx.slot,
+            vms,
+            pending: &pending,
+            committed: ctx.committed,
+            max_vm_capacity: ctx.max_vm_capacity,
         })
-}
-
-fn worker_loop(
-    shard: usize,
-    num_shards: usize,
-    mut inner: Box<dyn Provisioner + Send>,
-    requests: crossbeam::channel::Receiver<ShardRequest>,
-    replies: crossbeam::channel::Sender<ShardReply>,
-) {
-    // Narrowed-view buffers persist across slots: steady state reuses every
-    // inner allocation (job vectors, history tails) instead of re-cloning
-    // the fleet each slot.
-    let mut my_vms: Vec<VmView> = Vec::new();
-    while let Ok(request) = requests.recv() {
-        match request {
-            ShardRequest::Provision {
-                slot,
-                vms,
-                pending,
-                committed,
-                max_vm_capacity,
-            } => {
-                // The pipeline may hold arbitrary state mid-panic, so a
-                // caught panic is terminal for this worker: report it and
-                // exit; the supervisor rebuilds from the factory.
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    shard_vm_views_into(&vms, shard, num_shards, &mut my_vms);
-                    let my_pending = shard_pending(&pending, shard, num_shards);
-                    let ctx = SlotContext {
-                        slot,
-                        vms: &my_vms,
-                        pending: &my_pending,
-                        committed: &committed,
-                        max_vm_capacity,
-                    };
-                    inner.provision(&ctx)
-                }));
-                match result {
-                    Ok(plan) => {
-                        if replies
-                            .send(ShardReply {
-                                slot,
-                                plan: Some(plan),
-                            })
-                            .is_err()
-                        {
-                            break; // coordinator gone
-                        }
-                    }
-                    Err(_) => {
-                        let _ = replies.send(ShardReply { slot, plan: None });
-                        break;
-                    }
-                }
-            }
-            ShardRequest::JobsCompleted { jobs } => {
-                if catch_unwind(AssertUnwindSafe(|| {
-                    inner.on_jobs_completed(&jobs);
-                }))
-                .is_err()
-                {
-                    break;
-                }
-            }
-            ShardRequest::SetServiceLevel(level) => {
-                if catch_unwind(AssertUnwindSafe(|| {
-                    inner.set_service_level(level);
-                }))
-                .is_err()
-                {
-                    break;
-                }
-            }
-            ShardRequest::Die => break,
-        }
-    }
+    }))
+    .ok()
 }
 
 /// N scheduler shards behind the engine's `Provisioner` interface (see
 /// module docs).
 pub struct ShardedProvisioner {
     name: String,
-    workers: Vec<Worker>,
+    shards: Vec<Shard>,
+    /// Indexed like `shards`; kept apart so pool tasks can share them
+    /// without the (non-`Sync`) factories.
+    pipelines: Vec<Mutex<ShardPipeline>>,
+    /// One worker per shard; shard proposals are its tasks.
+    pool: WorkerPool,
     config: ShardConfig,
     /// Built lazily from the first slot's fleet view.
     store: Option<PlacementStore>,
     max_queue_depth: usize,
     recovery: RecoveryCounters,
     errors: Vec<ClusterError>,
-    /// Current brownout posture, re-applied to workers after a restart.
+    /// Current brownout posture, re-applied to pipelines after a rebuild.
     service_level: u8,
     /// Slots where at least one placement fell back from the optimistic
     /// fast path to a full ordered 2PC round.
     fallback_rounds: u64,
-    /// Recycled fleet-snapshot buffers: once the workers of a previous
-    /// slot drop their `Arc` clones, the coordinator regains exclusive
-    /// access and refreshes the buffer in place instead of re-cloning the
-    /// fleet (the view copy was the dominant per-slot coordination cost).
-    snap_vms: Vec<Arc<Vec<VmView>>>,
-    snap_pending: Vec<Arc<Vec<PendingJobView>>>,
-    snap_committed: Vec<Arc<Vec<ResourceVector>>>,
     /// Per-slot scratch for the store rebase (capacity/committed columns).
     rebase_scratch: (Vec<ResourceVector>, Vec<ResourceVector>),
 }
 
-/// Pulls a buffer with no outstanding readers from `pool`, or allocates a
-/// fresh one. Callers push the handle back after sharing it; a buffer
-/// still referenced by a slow worker simply stays in the pool until its
-/// refcount drains.
-fn checkout<T: Default>(pool: &mut Vec<Arc<T>>) -> Arc<T> {
-    for i in 0..pool.len() {
-        if Arc::get_mut(&mut pool[i]).is_some() {
-            return pool.swap_remove(i);
-        }
-    }
-    Arc::new(T::default())
-}
-
-/// Returns a shared snapshot to its pool, bounding the pool so a burst of
-/// slow slots cannot grow it without limit.
-fn check_in<T>(pool: &mut Vec<Arc<T>>, buf: Arc<T>) {
-    pool.push(buf);
-    if pool.len() > 4 {
-        pool.swap_remove(0);
-    }
-}
-
 impl ShardedProvisioner {
     /// Wraps `inners` (one per shard) under a display name of
-    /// `"<base>x<shards>"`, spawning one worker thread per shard. Workers
+    /// `"<base>x<shards>"`, starting one pool worker per shard. Shards
     /// built this way cannot be rebuilt after a death (there is no
     /// factory); the shard degrades to inline scheduling instead. Prefer
     /// [`ShardedProvisioner::with_factories`] when running under fault
@@ -346,16 +208,15 @@ impl ShardedProvisioner {
         config: ShardConfig,
     ) -> Self {
         assert!(!inners.is_empty(), "need at least one shard");
-        let num_shards = inners.len();
-        let mut this = Self::empty(base_name, num_shards, config);
-        for (shard, inner) in inners.into_iter().enumerate() {
-            this.push_worker(shard, num_shards, inner, None);
-        }
-        this
+        Self::build(
+            base_name,
+            inners.into_iter().map(|inner| (inner, None)).collect(),
+            config,
+        )
     }
 
     /// Like [`ShardedProvisioner::new`], but each shard's pipeline comes
-    /// from a factory the supervisor re-invokes to rebuild the worker
+    /// from a factory the supervisor re-invokes to rebuild the shard
     /// after a crash. Factories must be deterministic (same pipeline every
     /// call) for fault-injected runs to replay byte-identically.
     ///
@@ -368,84 +229,74 @@ impl ShardedProvisioner {
         config: ShardConfig,
     ) -> Self {
         assert!(!factories.is_empty(), "need at least one shard");
-        let num_shards = factories.len();
-        let mut this = Self::empty(base_name, num_shards, config);
-        for (shard, factory) in factories.into_iter().enumerate() {
-            let inner = factory();
-            this.push_worker(shard, num_shards, inner, Some(factory));
-        }
-        this
+        Self::build(
+            base_name,
+            factories
+                .into_iter()
+                .map(|factory| (factory(), Some(factory)))
+                .collect(),
+            config,
+        )
     }
 
-    fn empty(base_name: &str, num_shards: usize, config: ShardConfig) -> Self {
+    fn build(
+        base_name: &str,
+        inners: Vec<(Box<dyn Provisioner + Send>, Option<ProvisionerFactory>)>,
+        config: ShardConfig,
+    ) -> Self {
+        let num_shards = inners.len();
+        let mut pool = WorkerPool::new();
+        let mut errors = Vec::new();
+        // `Some` only when a spawn failed, leaving shards without a worker.
+        let spawn_error = pool.ensure(num_shards).err().map(|e| e.to_string());
+        let mut shards = Vec::with_capacity(num_shards);
+        let mut pipelines = Vec::with_capacity(num_shards);
+        for (shard, (inner, factory)) in inners.into_iter().enumerate() {
+            // A shard without a pool worker is dead on arrival: it keeps
+            // its slot in the shard map (job ownership is positional) and
+            // is scheduled inline; a factory still allows a later rebuild.
+            let has_worker = shard < pool.width();
+            if !has_worker {
+                errors.push(ClusterError::SpawnFailed {
+                    shard,
+                    reason: spawn_error.clone().unwrap_or_default(),
+                });
+            }
+            shards.push(Shard {
+                stats: ShardStats {
+                    shard,
+                    ..Default::default()
+                },
+                failed: !has_worker && factory.is_none(),
+                factory,
+                forced_inline: false,
+                last_outcome: ShardSlotOutcome::Idle,
+                view_period: inner.full_view_period().max(1),
+            });
+            pipelines.push(Mutex::new(ShardPipeline {
+                inner: has_worker.then_some(inner),
+                vms: Vec::new(),
+            }));
+        }
         ShardedProvisioner {
             name: format!("{}x{}", base_name, num_shards),
-            workers: Vec::new(),
+            shards,
+            pipelines,
+            pool,
             config,
             store: None,
             max_queue_depth: 0,
             recovery: RecoveryCounters::default(),
-            errors: Vec::new(),
+            errors,
             service_level: 0,
             fallback_rounds: 0,
-            snap_vms: Vec::new(),
-            snap_pending: Vec::new(),
-            snap_committed: Vec::new(),
             rebase_scratch: (Vec::new(), Vec::new()),
-        }
-    }
-
-    fn push_worker(
-        &mut self,
-        shard: usize,
-        num_shards: usize,
-        inner: Box<dyn Provisioner + Send>,
-        factory: Option<ProvisionerFactory>,
-    ) {
-        let stats = ShardStats {
-            shard,
-            ..Default::default()
-        };
-        let view_period = inner.full_view_period().max(1);
-        match spawn_worker(shard, num_shards, inner) {
-            Ok((requests, replies, handle)) => self.workers.push(Worker {
-                requests: Some(requests),
-                replies,
-                handle: Some(handle),
-                stats,
-                alive: true,
-                failed: false,
-                factory,
-                forced_inline: false,
-                last_outcome: ShardSlotOutcome::Idle,
-                view_period,
-            }),
-            Err(e) => {
-                // Dead on arrival: keep the slot in the shard map (job
-                // ownership is positional) and schedule it inline; a
-                // factory still allows a later restart attempt.
-                self.errors.push(e);
-                let (_, orphan_replies) = crossbeam::channel::unbounded();
-                let failed = factory.is_none();
-                self.workers.push(Worker {
-                    requests: None,
-                    replies: orphan_replies,
-                    handle: None,
-                    stats,
-                    alive: false,
-                    failed,
-                    factory,
-                    forced_inline: false,
-                    last_outcome: ShardSlotOutcome::Idle,
-                    view_period,
-                });
-            }
         }
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.workers.len()
+        self.shards.len()
     }
 
     /// The shared placement store (after the first slot).
@@ -453,9 +304,9 @@ impl ShardedProvisioner {
         self.store.as_ref()
     }
 
-    /// Typed failures the supervisor recorded (spawn failures, timeouts,
-    /// unrecoverable workers). Recovered incidents appear only as
-    /// counters in [`Provisioner::control_plane_stats`].
+    /// Typed failures the supervisor recorded (spawn failures,
+    /// unrecoverable shards). Recovered incidents appear only as counters
+    /// in [`Provisioner::control_plane_stats`].
     pub fn errors(&self) -> &[ClusterError] {
         &self.errors
     }
@@ -463,71 +314,83 @@ impl ShardedProvisioner {
     /// Per-shard supervision snapshots after the most recent slot — the
     /// feed an external circuit-breaker layer keys its state machine on.
     pub fn shard_health(&self) -> Vec<ShardHealth> {
-        self.workers
+        self.shards
             .iter()
+            .zip(&self.pipelines)
             .enumerate()
-            .map(|(shard, w)| ShardHealth {
+            .map(|(shard, (s, pipeline))| ShardHealth {
                 shard,
-                alive: w.alive,
-                failed: w.failed,
-                last_outcome: w.last_outcome,
+                alive: pipeline.lock().inner.is_some(),
+                failed: s.failed,
+                last_outcome: s.last_outcome,
             })
             .collect()
     }
 
     /// Isolates (or releases) one shard: while forced, the coordinator
-    /// schedules the shard inline every slot *without* dispatching to its
-    /// worker or waiting on its reply — the inline-fallback half of a
-    /// circuit breaker's Open state. The worker thread stays up (and keeps
-    /// receiving completion notifications) so a later probe finds it warm.
+    /// schedules the shard inline every slot *without* dispatching it —
+    /// the inline-fallback half of a circuit breaker's Open state. The
+    /// pipeline stays up (and keeps receiving completion notifications) so
+    /// a later probe finds it warm.
     ///
     /// Out-of-range shard indices are ignored.
     pub fn set_forced_inline(&mut self, shard: usize, forced: bool) {
-        if let Some(worker) = self.workers.get_mut(shard) {
-            worker.forced_inline = forced;
+        if let Some(s) = self.shards.get_mut(shard) {
+            s.forced_inline = forced;
         }
     }
 
-    /// Tears down a dead worker's thread and rebuilds it from its factory;
-    /// without one the shard is marked permanently failed.
-    fn restart_worker(&mut self, shard: usize) {
-        if self.workers[shard].failed {
+    fn alive(&mut self, shard: usize) -> bool {
+        self.pipelines[shard].get_mut().inner.is_some()
+    }
+
+    /// Calls into a live shard's pipeline under `catch_unwind`. A panic
+    /// drops the pipeline and is counted; the next provisioning slot
+    /// rebuilds the shard and schedules it inline. Returns whether the
+    /// shard had a pipeline to call.
+    fn call_shard(&mut self, shard: usize, f: impl FnOnce(&mut dyn Provisioner)) -> bool {
+        let pipeline = self.pipelines[shard].get_mut();
+        let Some(inner) = pipeline.inner.as_mut() else {
+            return false;
+        };
+        if catch_unwind(AssertUnwindSafe(|| f(inner.as_mut()))).is_err() {
+            pipeline.inner = None;
+            self.recovery.worker_panics += 1;
+        }
+        true
+    }
+
+    /// Rebuilds a dead shard's pipeline from its factory; without one, or
+    /// without a pool worker to run it on, the shard is marked permanently
+    /// failed.
+    fn restart_shard(&mut self, shard: usize) {
+        if self.shards[shard].failed {
             return;
         }
-        let num_shards = self.workers.len();
-        self.workers[shard].requests.take();
-        if let Some(handle) = self.workers[shard].handle.take() {
-            let _ = handle.join();
-        }
-        let Some(inner) = self.workers[shard].factory.as_ref().map(|f| f()) else {
-            self.workers[shard].failed = true;
+        let Some(inner) = self.shards[shard].factory.as_ref().map(|f| f()) else {
+            self.shards[shard].failed = true;
             self.errors
                 .push(ClusterError::WorkerUnrecoverable { shard });
             return;
         };
-        let view_period = inner.full_view_period().max(1);
-        match spawn_worker(shard, num_shards, inner) {
-            Ok((requests, replies, handle)) => {
-                let worker = &mut self.workers[shard];
-                worker.view_period = view_period;
-                worker.requests = Some(requests);
-                worker.replies = replies;
-                worker.handle = Some(handle);
-                worker.alive = true;
-                worker.stats.restarts += 1;
-                self.recovery.worker_restarts += 1;
-                // A factory rebuild starts at full service; re-apply the
-                // coordinator's current brownout posture.
-                if self.service_level != 0 {
-                    if let Some(tx) = self.workers[shard].requests.as_ref() {
-                        let _ = tx.send(ShardRequest::SetServiceLevel(self.service_level));
-                    }
-                }
-            }
-            Err(e) => {
-                self.workers[shard].failed = true;
-                self.errors.push(e);
-            }
+        if let Err(e) = self.pool.ensure(shard + 1) {
+            self.shards[shard].failed = true;
+            self.errors.push(ClusterError::SpawnFailed {
+                shard,
+                reason: e.to_string(),
+            });
+            return;
+        }
+        let s = &mut self.shards[shard];
+        s.view_period = inner.full_view_period().max(1);
+        s.stats.restarts += 1;
+        self.recovery.worker_restarts += 1;
+        self.pipelines[shard].get_mut().inner = Some(inner);
+        // A factory rebuild starts at full service; re-apply the
+        // coordinator's current brownout posture.
+        let level = self.service_level;
+        if level != 0 {
+            self.call_shard(shard, |inner| inner.set_service_level(level));
         }
     }
 
@@ -549,18 +412,19 @@ impl ShardedProvisioner {
         fallback.provision(&narrowed)
     }
 
-    /// Phase A: every shard proposes in parallel over the shared snapshot.
-    /// Scheduled chaos is applied here; any shard without a usable plan is
-    /// scheduled inline, and dead workers are restarted before returning.
+    /// Phase A: every serving shard proposes in parallel, one pool task
+    /// per shard over the borrowed context. Scheduled chaos is applied
+    /// here; any shard without a usable plan is scheduled inline, and dead
+    /// shards are rebuilt before returning.
     fn propose(&mut self, ctx: &SlotContext<'_>) -> Vec<ProvisionPlan> {
-        let n = self.workers.len();
+        let n = self.shards.len();
         self.max_queue_depth = self.max_queue_depth.max(ctx.pending.len());
         let mut depths = vec![0usize; n];
         for job in ctx.pending {
             depths[owner_of(job.id, n)] += 1;
         }
-        for (worker, depth) in self.workers.iter_mut().zip(depths) {
-            worker.stats.max_queue_depth = worker.stats.max_queue_depth.max(depth);
+        for (shard, depth) in self.shards.iter_mut().zip(depths) {
+            shard.stats.max_queue_depth = shard.stats.max_queue_depth.max(depth);
         }
 
         // Scheduled chaos for this slot.
@@ -575,146 +439,77 @@ impl ShardedProvisioner {
             }
         }
         for (shard, &killed) in kill.iter().enumerate() {
-            if killed && self.workers[shard].alive {
-                if let Some(tx) = self.workers[shard].requests.as_ref() {
-                    let _ = tx.send(ShardRequest::Die);
-                }
-                self.workers[shard].alive = false;
+            if killed && self.alive(shard) {
+                self.pipelines[shard].get_mut().inner = None;
                 self.recovery.worker_kills += 1;
             }
         }
 
-        // Dispatch the snapshot to every serving shard, recycling a
-        // previous slot's buffers when their workers have let go: refresh
-        // in place instead of re-cloning the fleet.
-        let mut vms = checkout(&mut self.snap_vms);
-        copy_vm_views_into(
-            ctx.vms,
-            Arc::get_mut(&mut vms).expect("checked-out snapshot buffer is exclusive"),
-        );
-        let mut pending = checkout(&mut self.snap_pending);
-        {
-            let buf = Arc::get_mut(&mut pending).expect("checked-out snapshot buffer is exclusive");
-            buf.clear();
-            buf.extend_from_slice(ctx.pending);
-        }
-        let mut committed = checkout(&mut self.snap_committed);
-        {
-            let buf =
-                Arc::get_mut(&mut committed).expect("checked-out snapshot buffer is exclusive");
-            buf.clear();
-            buf.extend_from_slice(ctx.committed);
-        }
-        let mut sent = vec![false; n];
-        for shard in 0..n {
-            // Breaker-isolated shards get no dispatch at all: the whole
-            // point of Open is not paying the worker round-trip (or its
-            // timeout) while the shard is sick.
-            if self.workers[shard].forced_inline {
+        // Breaker-isolated shards get no dispatch at all: the whole point
+        // of Open is not paying for the sick shard's pipeline.
+        let mut dispatch = Vec::with_capacity(n);
+        for (shard, &dropped) in drop_request.iter().enumerate() {
+            if self.shards[shard].forced_inline || !self.alive(shard) {
                 continue;
             }
-            if !self.workers[shard].alive {
-                continue;
-            }
-            if drop_request[shard] {
+            if dropped {
                 self.recovery.messages_dropped += 1;
                 continue;
             }
-            let request = ShardRequest::Provision {
-                slot: ctx.slot,
-                vms: Arc::clone(&vms),
-                pending: Arc::clone(&pending),
-                committed: Arc::clone(&committed),
-                max_vm_capacity: ctx.max_vm_capacity,
-            };
-            let delivered = self.workers[shard]
-                .requests
-                .as_ref()
-                .map(|tx| tx.send(request).is_ok())
-                .unwrap_or(false);
-            if delivered {
-                sent[shard] = true;
-            } else {
-                // The worker died between slots (e.g. panicked in a
-                // completion callback): recover below.
-                self.workers[shard].alive = false;
-            }
+            dispatch.push(shard);
         }
+        // Only shards with a pool worker have a pipeline, so the dispatch
+        // fits the pool and every shard task gets a worker of its own.
+        let mut results: Vec<Option<ProvisionPlan>> = vec![None; dispatch.len()];
+        let pipelines = &self.pipelines;
+        self.pool.run_chunks(
+            &dispatch,
+            &mut results,
+            dispatch.len().max(1),
+            &|| (),
+            &|&shard, _: &mut ()| run_shard(&pipelines[shard], ctx, shard, n),
+            &|_| (),
+        );
 
-        // Collect in shard order: deterministic merge, full overlap while
-        // the slower shards finish. Replies are slot-tagged so a reply
-        // delayed past its slot is discarded when it finally surfaces.
-        let mut plans: Vec<Option<ProvisionPlan>> = (0..n).map(|_| None).collect();
-        for shard in 0..n {
-            if !sent[shard] {
-                continue;
-            }
+        // A delayed shard ran, so its state advanced, but its plan missed
+        // the slot and is discarded.
+        let mut plans: Vec<Option<ProvisionPlan>> = vec![None; n];
+        for (&shard, result) in dispatch.iter().zip(results) {
             if delay[shard] {
                 self.recovery.messages_delayed += 1;
-                continue;
             }
-            loop {
-                let outcome = self.workers[shard]
-                    .replies
-                    .recv_timeout(self.config.recv_timeout);
-                match outcome {
-                    Ok(reply) if reply.slot == ctx.slot => {
-                        match reply.plan {
-                            Some(plan) => plans[shard] = Some(plan),
-                            None => {
-                                // The worker caught a panic and exited.
-                                self.workers[shard].alive = false;
-                                self.recovery.worker_panics += 1;
-                            }
-                        }
-                        break;
-                    }
-                    Ok(_stale_reply) => continue,
-                    Err(RecvTimeoutError::Timeout) => {
-                        self.workers[shard].alive = false;
-                        self.recovery.recv_timeouts += 1;
-                        self.errors.push(ClusterError::ReplyTimeout {
-                            shard,
-                            slot: ctx.slot,
-                        });
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        self.workers[shard].alive = false;
-                        break;
-                    }
+            match result {
+                None => {
+                    self.pipelines[shard].get_mut().inner = None;
+                    self.recovery.worker_panics += 1;
                 }
+                Some(_) if delay[shard] => {}
+                Some(plan) => plans[shard] = Some(plan),
             }
         }
 
-        // Recovery: restart what died, schedule inline what is missing,
+        // Recovery: rebuild what died, schedule inline what is missing,
         // and record each shard's slot outcome for shard_health().
         for (shard, plan) in plans.iter_mut().enumerate() {
-            if !self.workers[shard].alive {
-                self.restart_worker(shard);
+            if !self.alive(shard) {
+                self.restart_shard(shard);
             }
+            let s = &mut self.shards[shard];
             if plan.is_some() {
-                self.workers[shard].last_outcome = ShardSlotOutcome::Served;
+                s.last_outcome = ShardSlotOutcome::Served;
             } else {
-                if self.workers[shard].forced_inline {
-                    self.workers[shard].stats.isolated_slots += 1;
+                if s.forced_inline {
+                    s.stats.isolated_slots += 1;
                     self.recovery.isolated_slots += 1;
-                    self.workers[shard].last_outcome = ShardSlotOutcome::Isolated;
+                    s.last_outcome = ShardSlotOutcome::Isolated;
                 } else {
-                    self.workers[shard].stats.inline_slots += 1;
+                    s.stats.inline_slots += 1;
                     self.recovery.inline_slots += 1;
-                    self.workers[shard].last_outcome = ShardSlotOutcome::FellBack;
+                    s.last_outcome = ShardSlotOutcome::FellBack;
                 }
                 *plan = Some(Self::inline_plan(ctx, shard, n));
             }
         }
-
-        // Return the snapshot handles to their pools. A worker that is
-        // still holding a clone (delayed reply) just parks the buffer until
-        // its refcount drains; checkout skips shared buffers.
-        check_in(&mut self.snap_vms, vms);
-        check_in(&mut self.snap_pending, pending);
-        check_in(&mut self.snap_committed, committed);
 
         plans.into_iter().map(Option::unwrap_or_default).collect()
     }
@@ -762,20 +557,20 @@ impl ShardedProvisioner {
                 .partition(|(_, job, new)| is_shrink(job, new));
             for (shard, job, new) in shrinks.into_iter().chain(grows) {
                 let Some(&(vm, old)) = current.get(&job) else {
-                    self.workers[shard].stats.conflicts += 1;
+                    self.shards[shard].stats.conflicts += 1;
                     continue;
                 };
                 if !new.is_finite() {
                     // A poisoned pipeline may propose NaN; the engine would
                     // drop it anyway, but refusing here keeps the store's
                     // committed preview authoritative.
-                    self.workers[shard].stats.conflicts += 1;
+                    self.shards[shard].stats.conflicts += 1;
                     continue;
                 }
                 if store.adjust(vm, old, new) {
                     merged.adjustments.push((job, new));
                 } else {
-                    self.workers[shard].stats.conflicts += 1;
+                    self.shards[shard].stats.conflicts += 1;
                 }
             }
         }
@@ -791,7 +586,7 @@ impl ShardedProvisioner {
         // a fast commit admits exactly what reserve+confirm would have.
         let pending_ids: HashSet<JobId> = ctx.pending.iter().map(|j| j.id).collect();
         let mut placed: HashSet<JobId> = HashSet::new();
-        let mut backend = TwoPhaseBackend::new(store, self.config.max_retries);
+        let mut backend = TwoPhaseBackend::new(store, MAX_RETRIES);
         backend.defer_confirms();
         // The trait threads an RNG for randomized selectors; 2PC claims
         // are deterministic and never draw from it.
@@ -803,7 +598,7 @@ impl ShardedProvisioner {
                 let Some(p) = plan.placements.get(index) else {
                     continue;
                 };
-                let stats = &mut self.workers[shard].stats;
+                let stats = &mut self.shards[shard].stats;
                 stats.proposals += 1;
                 if !pending_ids.contains(&p.job) || placed.contains(&p.job) {
                     continue; // not placeable: duplicate or unknown job
@@ -887,9 +682,9 @@ impl Provisioner for ShardedProvisioner {
                 gcd(b, a % b)
             }
         }
-        self.workers
+        self.shards
             .iter()
-            .map(|w| w.view_period)
+            .map(|s| s.view_period)
             .fold(0, gcd)
             .max(1)
     }
@@ -905,10 +700,9 @@ impl Provisioner for ShardedProvisioner {
 
     fn on_jobs_completed(&mut self, completed: &[JobCompletion]) {
         // Group the slot's completions by owning shard, preserving
-        // completion order within each group, and forward one batch
-        // message per shard — the engine hands the whole slot at once, so
-        // channel traffic is O(shards) per slot instead of O(jobs).
-        let n = self.workers.len();
+        // completion order within each group, and hand each shard its
+        // batch in one call — the engine hands the whole slot at once.
+        let n = self.shards.len();
         let mut batches: Vec<Vec<JobCompletion>> = vec![Vec::new(); n];
         for c in completed {
             batches[owner_of(c.job, n)].push(c.clone());
@@ -917,19 +711,10 @@ impl Provisioner for ShardedProvisioner {
             if jobs.is_empty() {
                 continue;
             }
-            // FIFO per worker: the notification lands before the next
-            // Provision request, exactly as the engine orders the calls.
-            let delivered = self.workers[owner]
-                .requests
-                .as_ref()
-                .map(|tx| tx.send(ShardRequest::JobsCompleted { jobs }).is_ok())
-                .unwrap_or(false);
-            if !delivered {
-                // The worker is dead: this shard's corpus misses one
-                // slot's samples (restart happens on the next provision
-                // call). Dropped messages are counted per batch — one
-                // message is what was actually lost on the wire.
-                self.workers[owner].alive = false;
+            if !self.call_shard(owner, |inner| inner.on_jobs_completed(&jobs)) {
+                // The shard is dead: its corpus misses one slot's samples
+                // (the rebuild happens on the next provision call).
+                // Dropped notifications are counted per batch.
                 self.recovery.messages_dropped += 1;
             }
         }
@@ -940,19 +725,10 @@ impl Provisioner for ShardedProvisioner {
             return;
         }
         self.service_level = level;
-        // FIFO per worker: the posture change lands before the next
-        // Provision request, so every shard sees it at the same slot.
-        for worker in &mut self.workers {
-            let delivered = worker
-                .requests
-                .as_ref()
-                .map(|tx| tx.send(ShardRequest::SetServiceLevel(level)).is_ok())
-                .unwrap_or(false);
-            if !delivered {
-                // Dead worker: the restart path re-applies the current
-                // level once the factory rebuilds it.
-                worker.alive = false;
-            }
+        // A dead shard is skipped: the rebuild re-applies the current
+        // level once the factory has produced a fresh pipeline.
+        for shard in 0..self.shards.len() {
+            self.call_shard(shard, |inner| inner.set_service_level(level));
         }
     }
 
@@ -963,12 +739,12 @@ impl Provisioner for ShardedProvisioner {
             .map(|s| s.counters())
             .unwrap_or_default();
         Some(ControlPlaneStats {
-            shards: self.workers.len(),
+            shards: self.shards.len(),
             reservations: counters.reservations,
             commits: counters.commits,
             conflicts: counters.conflicts,
             aborts: counters.aborts,
-            retries: self.workers.iter().map(|s| s.stats.retries).sum(),
+            retries: self.shards.iter().map(|s| s.stats.retries).sum(),
             fast_path_hits: counters.fast_commits,
             fallback_rounds: self.fallback_rounds,
             stripe_conflicts: counters.epoch_conflicts,
@@ -979,28 +755,14 @@ impl Provisioner for ShardedProvisioner {
             inline_slots: self.recovery.inline_slots,
             messages_dropped: self.recovery.messages_dropped,
             messages_delayed: self.recovery.messages_delayed,
-            recv_timeouts: self.recovery.recv_timeouts,
+            recv_timeouts: 0,
             isolated_slots: self.recovery.isolated_slots,
             breaker_opens: 0,
             breaker_half_opens: 0,
             breaker_closes: 0,
             breaker_transitions: Vec::new(),
-            per_shard: self.workers.iter().map(|s| s.stats.clone()).collect(),
+            per_shard: self.shards.iter().map(|s| s.stats.clone()).collect(),
         })
-    }
-}
-
-impl Drop for ShardedProvisioner {
-    fn drop(&mut self) {
-        // Closing every request channel stops the worker loops; then join.
-        for worker in &mut self.workers {
-            worker.requests.take();
-        }
-        for worker in &mut self.workers {
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
     }
 }
 
@@ -1060,7 +822,6 @@ mod tests {
             factories,
             ShardConfig {
                 fault_plan: Some(fault_plan),
-                ..ShardConfig::default()
             },
         )
     }
@@ -1289,6 +1050,107 @@ mod tests {
         assert_eq!(p.control_plane_stats().unwrap().inline_slots, 1);
     }
 
+    /// Which callback [`PanicInCallback`] blows up in.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Callback {
+        JobsCompleted,
+        ServiceLevel,
+    }
+
+    /// Places like static peak, but panics in one callback while armed.
+    struct PanicInCallback {
+        armed: bool,
+        callback: Callback,
+    }
+
+    impl Provisioner for PanicInCallback {
+        fn name(&self) -> &str {
+            "panic-in-callback"
+        }
+        fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
+            StaticPeakProvisioner.provision(ctx)
+        }
+        fn on_jobs_completed(&mut self, _: &[JobCompletion]) {
+            if self.armed && self.callback == Callback::JobsCompleted {
+                panic!("injected completion panic");
+            }
+        }
+        fn set_service_level(&mut self, _: u8) {
+            if self.armed && self.callback == Callback::ServiceLevel {
+                panic!("injected service-level panic");
+            }
+        }
+    }
+
+    /// Shard 1 panics in `callback` when `trigger` fires between slots 0
+    /// and 1. The panic must be counted, the shard rebuilt from its
+    /// factory and scheduled inline for slot 1, and the rebuilt shard must
+    /// serve its own job in slot 2.
+    fn assert_callback_panic_recovers(
+        callback: Callback,
+        trigger: impl FnOnce(&mut ShardedProvisioner),
+    ) {
+        // Only the factory's first product is armed: the rebuilt instance
+        // behaves, proving recovery rather than a crash loop.
+        let factories: Vec<ProvisionerFactory> = {
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            let calls = std::sync::Arc::new(AtomicUsize::new(0));
+            vec![
+                Box::new(|| Box::new(StaticPeakProvisioner) as _),
+                Box::new(move || {
+                    let n = calls.fetch_add(1, Ordering::SeqCst);
+                    Box::new(PanicInCallback {
+                        armed: n == 0,
+                        callback,
+                    }) as _
+                }),
+            ]
+        };
+        let mut p =
+            ShardedProvisioner::with_factories("static-peak", factories, ShardConfig::default());
+        let vms = fleet(&[4.0, 4.0]);
+        let committed = committed_of(&vms);
+        let pending = vec![job(0, 1.0), job(1, 1.0)];
+        let ctx = |slot| SlotContext {
+            slot,
+            vms: &vms,
+            pending: &pending,
+            committed: &committed,
+            max_vm_capacity: rv(4.0),
+        };
+        assert_eq!(p.provision(&ctx(0)).placements.len(), 2);
+        trigger(&mut p);
+        let got = p.provision(&ctx(1));
+        assert_eq!(got.placements.len(), 2, "inline covers the shard: {got:?}");
+        assert_eq!(p.shard_health()[1].last_outcome, ShardSlotOutcome::FellBack);
+        let again = p.provision(&ctx(2));
+        assert!(again.placements.iter().any(|pl| pl.job == 1), "{again:?}");
+        assert_eq!(p.shard_health()[1].last_outcome, ShardSlotOutcome::Served);
+        let stats = p.control_plane_stats().unwrap();
+        assert_eq!(stats.worker_panics, 1, "{stats:?}");
+        assert_eq!(stats.worker_restarts, 1, "{stats:?}");
+        assert_eq!(stats.inline_slots, 1, "{stats:?}");
+        assert_eq!(stats.per_shard[1].restarts, 1, "{stats:?}");
+        assert!(p.errors().is_empty());
+    }
+
+    #[test]
+    fn completion_callback_panic_is_counted_and_recovered() {
+        assert_callback_panic_recovers(Callback::JobsCompleted, |p| {
+            // Job 1 is owned by shard 1.
+            p.on_jobs_completed(&[JobCompletion {
+                job: 1,
+                handle: corp_sim::JobHandle::DETACHED,
+                unused_history: Vec::new(),
+            }]);
+        });
+    }
+
+    #[test]
+    fn service_level_callback_panic_is_counted_and_recovered() {
+        assert_callback_panic_recovers(Callback::ServiceLevel, |p| p.set_service_level(1));
+    }
+
     #[test]
     fn dropped_requests_and_delayed_replies_fall_back_inline() {
         let plan = ControlFaultPlan::new(
@@ -1315,8 +1177,8 @@ mod tests {
         assert_eq!(stats.messages_dropped, 1, "{stats:?}");
         assert_eq!(stats.messages_delayed, 1, "{stats:?}");
         assert_eq!(stats.inline_slots, 2, "{stats:?}");
-        // Neither fault killed the worker: no restarts, and the stale
-        // delayed reply was discarded by its slot tag, not misapplied.
+        // Neither fault killed the shard: no restarts, and the delayed
+        // plan was discarded, not misapplied.
         assert_eq!(stats.worker_restarts, 0, "{stats:?}");
         assert!(p.errors().is_empty());
     }
@@ -1332,7 +1194,6 @@ mod tests {
             inners,
             ShardConfig {
                 fault_plan: Some(plan),
-                ..ShardConfig::default()
             },
         );
         let vms = fleet(&[4.0, 4.0]);

@@ -4,13 +4,13 @@
 //! `owner = job_id % num_shards` — so racing shards never propose
 //! conflicting actions for the *same* job; the only contention left is
 //! capacity, which the [`PlacementStore`](crate::PlacementStore)
-//! arbitrates. Each shard receives a narrowed [`SlotContext`]: the full VM
+//! arbitrates. Each shard receives a narrowed [`SlotContext`](corp_sim::SlotContext): the full VM
 //! fleet (capacity and commitment truth is global) but with each VM's
 //! running-job views and the pending queue filtered to the jobs the shard
 //! owns. VM-level series (`unused_history`) stay global, so VM-granular
 //! predictors see the physical signal regardless of sharding.
 
-use corp_sim::{JobId, PendingJobView, RunningJobView, SlotContext, VmView};
+use corp_sim::{JobId, PendingJobView, RunningJobView, VmView};
 
 /// The shard that owns `job` in an `num_shards`-way partition.
 pub fn owner_of(job: JobId, num_shards: usize) -> usize {
@@ -31,21 +31,10 @@ pub fn shard_pending(
         .collect()
 }
 
-/// Splits the pending queue into per-shard queues (arrival order preserved
-/// within each shard).
-pub fn partition_pending(
-    pending: &[PendingJobView],
-    num_shards: usize,
-) -> Vec<Vec<PendingJobView>> {
-    (0..num_shards)
-        .map(|s| shard_pending(pending, s, num_shards))
-        .collect()
-}
-
 /// One shard's view of the fleet: global capacity/commitment and VM-level
 /// history, with running-job views filtered to the shard's own jobs. Each
-/// shard thread builds its own view from the shared fleet snapshot, so the
-/// copying cost parallelizes with the shard count.
+/// shard's pool task builds its own view from the engine's borrowed fleet,
+/// so the copying cost parallelizes with the shard count.
 pub fn shard_vm_views(vms: &[VmView], shard: usize, num_shards: usize) -> Vec<VmView> {
     let mut views = Vec::new();
     shard_vm_views_into(vms, shard, num_shards, &mut views);
@@ -54,8 +43,8 @@ pub fn shard_vm_views(vms: &[VmView], shard: usize, num_shards: usize) -> Vec<Vm
 
 /// [`shard_vm_views`] into a caller-owned buffer, reusing every inner
 /// allocation (per-VM job vectors, per-job history tails) from the previous
-/// slot — long-lived shard workers narrow the fleet snapshot once per slot,
-/// and with buffer reuse the steady-state cost is pure copying, no
+/// slot — every shard narrows the fleet once per slot into a buffer it
+/// keeps, and with buffer reuse the steady-state cost is pure copying, no
 /// allocator traffic.
 pub fn shard_vm_views_into(vms: &[VmView], shard: usize, num_shards: usize, out: &mut Vec<VmView>) {
     out.truncate(vms.len());
@@ -113,70 +102,6 @@ fn copy_owned_jobs_into(
     dst.truncate(kept);
 }
 
-/// Copies a whole fleet snapshot into a caller-owned buffer, reusing inner
-/// allocations — the coordinator's per-slot snapshot of the engine's views,
-/// recycled across slots instead of freshly cloned.
-pub fn copy_vm_views_into(vms: &[VmView], out: &mut Vec<VmView>) {
-    out.truncate(vms.len());
-    let filled = out.len();
-    for (dst, src) in out.iter_mut().zip(vms) {
-        dst.id = src.id;
-        dst.capacity = src.capacity;
-        dst.committed = src.committed;
-        dst.free = src.free;
-        copy_jobs_into(&src.jobs, &mut dst.jobs);
-        dst.unused_history.clear();
-        dst.unused_history.extend_from_slice(&src.unused_history);
-    }
-    for src in &vms[filled..] {
-        out.push(src.clone());
-    }
-}
-
-fn copy_jobs_into(src: &[RunningJobView], dst: &mut Vec<RunningJobView>) {
-    dst.truncate(src.len());
-    let filled = dst.len();
-    for (slot, job) in dst.iter_mut().zip(src) {
-        slot.id = job.id;
-        slot.requested = job.requested;
-        slot.allocation = job.allocation;
-        slot.recent_demand.clear();
-        slot.recent_demand.extend_from_slice(&job.recent_demand);
-        slot.recent_unused.clear();
-        slot.recent_unused.extend_from_slice(&job.recent_unused);
-    }
-    for job in &src[filled..] {
-        dst.push(job.clone());
-    }
-}
-
-/// Builds every shard's fleet view at once (tests and single-threaded
-/// callers; the coordinator lets each shard thread call
-/// [`shard_vm_views`] itself).
-pub fn partition_vm_views(vms: &[VmView], num_shards: usize) -> Vec<Vec<VmView>> {
-    (0..num_shards)
-        .map(|s| shard_vm_views(vms, s, num_shards))
-        .collect()
-}
-
-/// A narrowed per-shard context borrowing the shard's partitioned slices.
-/// The raw committed column stays global (it is id-indexed by VM, and
-/// capacity truth is fleet-wide), exactly like the per-VM views' committed
-/// fields.
-pub fn shard_context<'a>(
-    base: &SlotContext<'a>,
-    vms: &'a [VmView],
-    pending: &'a [PendingJobView],
-) -> SlotContext<'a> {
-    SlotContext {
-        slot: base.slot,
-        vms,
-        pending,
-        committed: base.committed,
-        max_vm_capacity: base.max_vm_capacity,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,7 +130,7 @@ mod tests {
     #[test]
     fn ownership_partitions_all_jobs_exactly_once() {
         let jobs: Vec<PendingJobView> = (0..23).map(pending).collect();
-        let parts = partition_pending(&jobs, 4);
+        let parts: Vec<_> = (0..4).map(|s| shard_pending(&jobs, s, 4)).collect();
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), jobs.len());
         for (shard, part) in parts.iter().enumerate() {
             for j in part {
@@ -217,23 +142,21 @@ mod tests {
     #[test]
     fn single_shard_owns_everything_in_order() {
         let jobs: Vec<PendingJobView> = [5, 2, 9].into_iter().map(pending).collect();
-        let parts = partition_pending(&jobs, 1);
-        assert_eq!(parts.len(), 1);
-        let ids: Vec<JobId> = parts[0].iter().map(|j| j.id).collect();
+        let ids: Vec<JobId> = shard_pending(&jobs, 0, 1).iter().map(|j| j.id).collect();
         assert_eq!(ids, vec![5, 2, 9], "arrival order preserved");
     }
 
     #[test]
     fn vm_views_filter_jobs_but_keep_global_state() {
-        let vm = VmView {
+        let fleet = [VmView {
             id: 0,
             capacity: ResourceVector::splat(8.0),
             committed: ResourceVector::splat(3.0),
             free: ResourceVector::splat(5.0),
             jobs: vec![running(0), running(1), running(2)],
             unused_history: vec![ResourceVector::splat(0.5)],
-        };
-        let per_shard = partition_vm_views(&[vm], 2);
+        }];
+        let per_shard: Vec<_> = (0..2).map(|s| shard_vm_views(&fleet, s, 2)).collect();
         assert_eq!(
             per_shard[0][0]
                 .jobs
@@ -280,10 +203,12 @@ mod tests {
             format!("{buf:?}"),
             format!("{:?}", shard_vm_views(&second, 0, 2))
         );
-        // Whole-snapshot copy: same reuse contract.
-        let mut snap = Vec::new();
-        copy_vm_views_into(&fleet(2, 3), &mut snap);
-        copy_vm_views_into(&second, &mut snap);
-        assert_eq!(format!("{snap:?}"), format!("{second:?}"));
+        // Growing back reuses the buffer's entries and fills the rest.
+        let third = fleet(5, 2);
+        shard_vm_views_into(&third, 1, 2, &mut buf);
+        assert_eq!(
+            format!("{buf:?}"),
+            format!("{:?}", shard_vm_views(&third, 1, 2))
+        );
     }
 }

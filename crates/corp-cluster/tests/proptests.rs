@@ -408,7 +408,6 @@ proptest! {
             factories,
             ShardConfig {
                 fault_plan: Some(plan),
-                ..ShardConfig::default()
             },
         );
         let mut committed = [ResourceVector::ZERO; FLEET];

@@ -38,6 +38,6 @@ pub mod train;
 pub use activation::Activation;
 pub use autoencoder::Autoencoder;
 pub use matrix::Matrix;
-pub use network::{BatchScratch, Network, Scratch};
+pub use network::{Network, Scratch};
 pub use predictor::{PredictScratch, UnusedResourcePredictor, WindowPredictorConfig};
 pub use train::{TrainConfig, TrainReport, Trainer};

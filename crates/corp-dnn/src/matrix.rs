@@ -57,59 +57,6 @@ impl Matrix {
         m
     }
 
-    /// Resizes to `rows x cols`, reusing the existing allocation —
-    /// shrinking then growing back never reallocates. Contents afterwards
-    /// are unspecified (all consumers overwrite before reading).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn reshape(&mut self, rows: usize, cols: usize) {
-        assert!(
-            rows > 0 && cols > 0,
-            "matrix dimensions must be positive: {rows}x{cols}"
-        );
-        self.rows = rows;
-        self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
-    }
-
-    /// Writes `self^T` into `out` (which must already be `cols x rows`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        assert_eq!(
-            (out.rows, out.cols),
-            (self.cols, self.rows),
-            "transpose shape mismatch"
-        );
-        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
-            }
-        }
-    }
-
-    /// Resizes to `cols` columns (row count unchanged), zero-filling and
-    /// reusing the existing allocation — shrinking then growing back never
-    /// reallocates, which keeps scratch buffers warm across alternating
-    /// batch widths. Contents afterwards are unspecified (all consumers
-    /// overwrite before reading).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols` is zero.
-    pub fn reshape_cols(&mut self, cols: usize) {
-        assert!(cols > 0, "matrix dimensions must be positive");
-        if cols == self.cols {
-            return;
-        }
-        self.cols = cols;
-        self.data.resize(self.rows * cols, 0.0);
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -208,278 +155,6 @@ impl Matrix {
         }
     }
 
-    /// Blocked matrix-matrix product with a fused per-element epilogue:
-    /// `out[i][b] = epilogue(i, row_i . col_b(x))`. `x` and `out` are
-    /// *feature-major batches*: column `b` holds sample `b`, so each output
-    /// row accumulates as a sequence of `w * x_row` axpys over contiguous
-    /// batch rows. Every batch lane still accumulates over `k` in exactly
-    /// the scalar dot-product order — evaluating a batch is bit-identical
-    /// to evaluating its samples one by one through
-    /// [`mul_vec_fused_into`](Self::mul_vec_fused_into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.rows() != cols`, `out.rows() != rows`, or
-    /// `out.cols() != x.cols()`.
-    pub fn matmul_fused_into<F>(&self, x: &Matrix, out: &mut Matrix, mut epilogue: F)
-    where
-        F: FnMut(usize, f64) -> f64,
-    {
-        assert_eq!(x.rows, self.cols, "inner dimension mismatch");
-        assert_eq!(out.rows, self.rows, "output row mismatch");
-        assert_eq!(out.cols, x.cols, "batch width mismatch");
-        let n = x.cols;
-        let k_body = self.cols - self.cols % 4;
-        for (i, (out_row, w_row)) in out
-            .data
-            .chunks_exact_mut(n)
-            .zip(self.data.chunks_exact(self.cols))
-            .enumerate()
-        {
-            out_row.iter_mut().for_each(|o| *o = 0.0);
-            // k-blocked by 8: each pass over the output row applies eight
-            // weights, cutting the out-row load/store traffic the plain
-            // one-weight axpy is bound by. The adds stay left-associated in
-            // ascending k order, so every lane accumulates bit-identically
-            // to the scalar dot product.
-            let mut k = 0;
-            while k + 8 <= self.cols {
-                let w = &w_row[k..k + 8];
-                let x0 = &x.data[k * n..(k + 1) * n];
-                let x1 = &x.data[(k + 1) * n..(k + 2) * n];
-                let x2 = &x.data[(k + 2) * n..(k + 3) * n];
-                let x3 = &x.data[(k + 3) * n..(k + 4) * n];
-                let x4 = &x.data[(k + 4) * n..(k + 5) * n];
-                let x5 = &x.data[(k + 5) * n..(k + 6) * n];
-                let x6 = &x.data[(k + 6) * n..(k + 7) * n];
-                let x7 = &x.data[(k + 7) * n..(k + 8) * n];
-                for ((((((((o, &a0), &a1), &a2), &a3), &a4), &a5), &a6), &a7) in out_row
-                    .iter_mut()
-                    .zip(x0)
-                    .zip(x1)
-                    .zip(x2)
-                    .zip(x3)
-                    .zip(x4)
-                    .zip(x5)
-                    .zip(x6)
-                    .zip(x7)
-                {
-                    *o = (((((((*o + w[0] * a0) + w[1] * a1) + w[2] * a2) + w[3] * a3)
-                        + w[4] * a4)
-                        + w[5] * a5)
-                        + w[6] * a6)
-                        + w[7] * a7;
-                }
-                k += 8;
-            }
-            while k < k_body {
-                let w = &w_row[k..k + 4];
-                let x0 = &x.data[k * n..(k + 1) * n];
-                let x1 = &x.data[(k + 1) * n..(k + 2) * n];
-                let x2 = &x.data[(k + 2) * n..(k + 3) * n];
-                let x3 = &x.data[(k + 3) * n..(k + 4) * n];
-                for ((((o, &a0), &a1), &a2), &a3) in
-                    out_row.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3)
-                {
-                    *o = (((*o + w[0] * a0) + w[1] * a1) + w[2] * a2) + w[3] * a3;
-                }
-                k += 4;
-            }
-            for (&w, x_row) in w_row[k_body..]
-                .iter()
-                .zip(x.data[k_body * n..].chunks_exact(n))
-            {
-                for (o, &xv) in out_row.iter_mut().zip(x_row) {
-                    *o += w * xv;
-                }
-            }
-            for o in out_row.iter_mut() {
-                *o = epilogue(i, *o);
-            }
-        }
-    }
-
-    /// `out = self^T * e` over feature-major batches (the batched
-    /// counterpart of
-    /// [`mul_vec_transposed_into`](Self::mul_vec_transposed_into), used to
-    /// back-propagate a whole minibatch of error terms at once). `out` is
-    /// overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.rows() != rows`, `out.rows() != cols`, or
-    /// `out.cols() != e.cols()`.
-    pub fn matmul_transposed_into(&self, e: &Matrix, out: &mut Matrix) {
-        assert_eq!(e.rows, self.rows, "input row mismatch");
-        assert_eq!(out.rows, self.cols, "output row mismatch");
-        assert_eq!(out.cols, e.cols, "batch width mismatch");
-        let n = e.cols;
-        let cols = self.cols;
-        let r_body = self.rows - self.rows % 4;
-        // Out-row-outer with the reduction over upper rows r-blocked by 4:
-        // each output row stays resident while four error rows stream
-        // through, instead of every (r, j) pair re-walking `out`. The adds
-        // are left-associated in ascending r — the same order the row-outer
-        // formulation accumulates in — so results are bit-identical.
-        for (j, out_row) in out.data.chunks_exact_mut(n).enumerate() {
-            out_row.iter_mut().for_each(|o| *o = 0.0);
-            let mut r = 0;
-            while r + 8 <= self.rows {
-                let w0 = self.data[r * cols + j];
-                let w1 = self.data[(r + 1) * cols + j];
-                let w2 = self.data[(r + 2) * cols + j];
-                let w3 = self.data[(r + 3) * cols + j];
-                let w4 = self.data[(r + 4) * cols + j];
-                let w5 = self.data[(r + 5) * cols + j];
-                let w6 = self.data[(r + 6) * cols + j];
-                let w7 = self.data[(r + 7) * cols + j];
-                let e0 = &e.data[r * n..(r + 1) * n];
-                let e1 = &e.data[(r + 1) * n..(r + 2) * n];
-                let e2 = &e.data[(r + 2) * n..(r + 3) * n];
-                let e3 = &e.data[(r + 3) * n..(r + 4) * n];
-                let e4 = &e.data[(r + 4) * n..(r + 5) * n];
-                let e5 = &e.data[(r + 5) * n..(r + 6) * n];
-                let e6 = &e.data[(r + 6) * n..(r + 7) * n];
-                let e7 = &e.data[(r + 7) * n..(r + 8) * n];
-                for ((((((((o, &a0), &a1), &a2), &a3), &a4), &a5), &a6), &a7) in out_row
-                    .iter_mut()
-                    .zip(e0)
-                    .zip(e1)
-                    .zip(e2)
-                    .zip(e3)
-                    .zip(e4)
-                    .zip(e5)
-                    .zip(e6)
-                    .zip(e7)
-                {
-                    *o = (((((((*o + w0 * a0) + w1 * a1) + w2 * a2) + w3 * a3) + w4 * a4)
-                        + w5 * a5)
-                        + w6 * a6)
-                        + w7 * a7;
-                }
-                r += 8;
-            }
-            while r < r_body {
-                let w0 = self.data[r * cols + j];
-                let w1 = self.data[(r + 1) * cols + j];
-                let w2 = self.data[(r + 2) * cols + j];
-                let w3 = self.data[(r + 3) * cols + j];
-                let e0 = &e.data[r * n..(r + 1) * n];
-                let e1 = &e.data[(r + 1) * n..(r + 2) * n];
-                let e2 = &e.data[(r + 2) * n..(r + 3) * n];
-                let e3 = &e.data[(r + 3) * n..(r + 4) * n];
-                for ((((o, &a0), &a1), &a2), &a3) in
-                    out_row.iter_mut().zip(e0).zip(e1).zip(e2).zip(e3)
-                {
-                    *o = (((*o + w0 * a0) + w1 * a1) + w2 * a2) + w3 * a3;
-                }
-                r += 4;
-            }
-            for (e_row, w_row) in e.data[r_body * n..]
-                .chunks_exact(n)
-                .zip(self.data[r_body * cols..].chunks_exact(cols))
-            {
-                let w = w_row[j];
-                for (o, &ev) in out_row.iter_mut().zip(e_row) {
-                    *o += w * ev;
-                }
-            }
-        }
-    }
-
-    /// Accumulates `self += e * g^T` over feature-major batches: the
-    /// minibatch gradient `dW[i][j] += sum_b e[i][b] * g[j][b]` (Eq. 8
-    /// summed over the batch). Rows of `e` and `g` are contiguous; the
-    /// inner sum is a lane-blocked dot product of two slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.rows() != rows`, `g.rows() != cols`, or the batch
-    /// widths differ.
-    pub fn add_batch_outer(&mut self, e: &Matrix, g: &Matrix) {
-        assert_eq!(e.rows, self.rows, "row factor mismatch");
-        assert_eq!(g.rows, self.cols, "column factor mismatch");
-        assert_eq!(e.cols, g.cols, "batch width mismatch");
-        const LANES: usize = 8;
-        let n = e.cols;
-        let body = n - n % LANES;
-        for (w_row, e_row) in self
-            .data
-            .chunks_exact_mut(self.cols)
-            .zip(e.data.chunks_exact(n))
-        {
-            for (w, g_row) in w_row.iter_mut().zip(g.data.chunks_exact(n)) {
-                // Eight independent partial sums break the sequential FP
-                // dependency chain a plain `.sum()` dot would serialize on,
-                // letting the reduction vectorize. Lane assignment is fixed
-                // (b mod LANES), so results are deterministic; batches
-                // narrower than a lane block take only the tail path, which
-                // is the plain ascending dot.
-                let mut acc = [0.0f64; LANES];
-                for (ea, ga) in e_row[..body]
-                    .chunks_exact(LANES)
-                    .zip(g_row[..body].chunks_exact(LANES))
-                {
-                    for l in 0..LANES {
-                        acc[l] += ea[l] * ga[l];
-                    }
-                }
-                let mut dot = ((acc[0] + acc[4]) + (acc[2] + acc[6]))
-                    + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
-                for (a, b) in e_row[body..].iter().zip(&g_row[body..]) {
-                    dot += a * b;
-                }
-                *w += dot;
-            }
-        }
-    }
-
-    /// Accumulates `self += e * gt` where `gt` is already the *transpose*
-    /// of the feature-major activation batch (`gt[b][j] = g[j][b]`): the
-    /// same minibatch gradient as
-    /// [`add_batch_outer`](Self::add_batch_outer), but with the reduction
-    /// over the batch expressed as contiguous axpys into each gradient row
-    /// instead of per-weight horizontal dots — the faster shape when the
-    /// caller can afford one transpose of `g` per batch. The batch axis is
-    /// blocked by 4 with left-associated adds in ascending `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e.rows() != rows`, `gt.cols() != cols`, or
-    /// `gt.rows() != e.cols()`.
-    pub fn add_batch_outer_pretransposed(&mut self, e: &Matrix, gt: &Matrix) {
-        assert_eq!(e.rows, self.rows, "row factor mismatch");
-        assert_eq!(gt.cols, self.cols, "column factor mismatch");
-        assert_eq!(gt.rows, e.cols, "batch width mismatch");
-        let n = e.cols;
-        let m = self.cols;
-        let b_body = n - n % 4;
-        for (w_row, e_row) in self.data.chunks_exact_mut(m).zip(e.data.chunks_exact(n)) {
-            let mut b = 0;
-            while b < b_body {
-                let ev = &e_row[b..b + 4];
-                let g0 = &gt.data[b * m..(b + 1) * m];
-                let g1 = &gt.data[(b + 1) * m..(b + 2) * m];
-                let g2 = &gt.data[(b + 2) * m..(b + 3) * m];
-                let g3 = &gt.data[(b + 3) * m..(b + 4) * m];
-                for ((((w, &a0), &a1), &a2), &a3) in
-                    w_row.iter_mut().zip(g0).zip(g1).zip(g2).zip(g3)
-                {
-                    *w = (((*w + ev[0] * a0) + ev[1] * a1) + ev[2] * a2) + ev[3] * a3;
-                }
-                b += 4;
-            }
-            for (&ev, g_row) in e_row[b_body..]
-                .iter()
-                .zip(gt.data[b_body * m..].chunks_exact(m))
-            {
-                for (w, &gv) in w_row.iter_mut().zip(g_row) {
-                    *w += ev * gv;
-                }
-            }
-        }
-    }
-
     /// `out = self^T * x` (transposed matrix-vector product), used to
     /// back-propagate error terms (paper Eq. 7 sums over the *upper* layer's
     /// errors weighted by `w_ji`). `out` is overwritten.
@@ -545,7 +220,7 @@ impl Matrix {
         }
     }
 
-    /// Fused momentum update for the per-sample path: one pass computing
+    /// Fused momentum update: one pass computing
     /// `velocity = momentum * velocity + scale * a * b^T` followed by
     /// `self += velocity`, replacing the three-pass
     /// `scale`/`add_outer_scaled`/`add_assign` sequence. Per element the
@@ -590,43 +265,6 @@ impl Matrix {
                 }
             }
         }
-    }
-
-    /// Fused momentum update for the minibatch path:
-    /// `velocity = momentum * velocity + scale * grad` followed by
-    /// `self += velocity`, where `grad` is an accumulated minibatch
-    /// gradient (e.g. from [`add_batch_outer`](Self::add_batch_outer)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn momentum_step_from(
-        &mut self,
-        velocity: &mut Matrix,
-        grad: &Matrix,
-        momentum: f64,
-        scale: f64,
-    ) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (velocity.rows, velocity.cols),
-            "velocity shape mismatch"
-        );
-        assert_eq!(
-            (self.rows, self.cols),
-            (grad.rows, grad.cols),
-            "gradient shape mismatch"
-        );
-        for ((w, v), g) in self.data.iter_mut().zip(&mut velocity.data).zip(&grad.data) {
-            *v = momentum * *v + scale * g;
-            *w += *v;
-        }
-    }
-
-    /// Sets every element to `value` (used to reset preallocated gradient
-    /// scratch between minibatches without reallocating).
-    pub fn fill(&mut self, value: f64) {
-        self.data.iter_mut().for_each(|v| *v = value);
     }
 
     /// Frobenius norm, handy for diagnosing exploding weights in tests.
@@ -732,63 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matmul_is_bit_identical_to_per_sample_columns() {
-        // 7 columns exercises both the 4-lane block and the remainder loop.
-        let m = Matrix::from_fn(6, 5, |r, c| ((r * 3 + c) as f64 * 0.37).cos());
-        let x = Matrix::from_fn(5, 7, |r, c| ((r + c * 11) as f64 * 0.13).sin());
-        let bias = [0.05, -0.1, 0.15, -0.2, 0.25, -0.3];
-        let mut out = Matrix::zeros(6, 7);
-        m.matmul_fused_into(&x, &mut out, |i, acc| {
-            1.0 / (1.0 + (-(acc + bias[i])).exp())
-        });
-        for b in 0..7 {
-            let col: Vec<f64> = (0..5).map(|k| x.get(k, b)).collect();
-            let mut single = vec![0.0; 6];
-            m.mul_vec_fused_into(&col, &mut single, |i, acc| {
-                1.0 / (1.0 + (-(acc + bias[i])).exp())
-            });
-            for (i, s) in single.iter().enumerate() {
-                assert_eq!(out.get(i, b).to_bits(), s.to_bits(), "col {b} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_transposed_matmul_matches_per_sample_columns() {
-        let m = Matrix::from_fn(4, 6, |r, c| ((r * 5 + c) as f64 * 0.21).sin());
-        let e = Matrix::from_fn(4, 3, |r, c| ((r + c * 2) as f64 * 0.4).cos());
-        let mut out = Matrix::zeros(6, 3);
-        m.matmul_transposed_into(&e, &mut out);
-        for b in 0..3 {
-            let col: Vec<f64> = (0..4).map(|k| e.get(k, b)).collect();
-            let mut single = vec![0.0; 6];
-            m.mul_vec_transposed_into(&col, &mut single);
-            for (j, s) in single.iter().enumerate() {
-                assert!((out.get(j, b) - s).abs() < 1e-12, "col {b} row {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_outer_sums_per_sample_outer_products() {
-        let e = Matrix::from_fn(3, 4, |r, c| (r as f64 + 1.0) * (c as f64 - 1.5));
-        let g = Matrix::from_fn(2, 4, |r, c| (r as f64 - 0.5) * (c as f64 + 0.3));
-        let mut batched = Matrix::zeros(3, 2);
-        batched.add_batch_outer(&e, &g);
-        let mut reference = Matrix::zeros(3, 2);
-        for b in 0..4 {
-            let ecol: Vec<f64> = (0..3).map(|r| e.get(r, b)).collect();
-            let gcol: Vec<f64> = (0..2).map(|r| g.get(r, b)).collect();
-            reference.add_outer_scaled(&ecol, &gcol, 1.0);
-        }
-        for r in 0..3 {
-            for c in 0..2 {
-                assert!((batched.get(r, c) - reference.get(r, c)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn momentum_step_is_bit_identical_to_three_pass_update() {
         let mut w_fused = Matrix::from_fn(3, 4, |r, c| ((r + c) as f64 * 0.1).sin());
         let mut v_fused = Matrix::from_fn(3, 4, |r, c| ((r * c) as f64 * 0.05).cos());
@@ -830,23 +411,6 @@ mod tests {
                 .map(|v| v.to_bits())
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn momentum_step_from_applies_batch_gradient() {
-        let mut w = Matrix::zeros(2, 2);
-        let mut v = Matrix::from_vec(2, 2, vec![1.0, -1.0, 2.0, -2.0]);
-        let g = Matrix::from_vec(2, 2, vec![10.0, 20.0, 30.0, 40.0]);
-        w.momentum_step_from(&mut v, &g, 0.5, 0.1);
-        assert_eq!(v.as_slice(), &[1.5, 1.5, 4.0, 3.0]);
-        assert_eq!(w.as_slice(), &[1.5, 1.5, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn fill_resets_every_element() {
-        let mut m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        m.fill(0.0);
-        assert!(m.as_slice().iter().all(|&v| v == 0.0));
     }
 
     #[test]

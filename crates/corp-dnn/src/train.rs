@@ -32,8 +32,6 @@ pub struct TrainConfig {
     pub patience: usize,
     /// Shuffle seed (training is deterministic per seed).
     pub seed: u64,
-    /// Minibatch width for [`Trainer::train_minibatched`].
-    pub batch_size: usize,
 }
 
 impl Default for TrainConfig {
@@ -46,7 +44,6 @@ impl Default for TrainConfig {
             tolerance: 1e-4,
             patience: 5,
             seed: 0x5EED,
-            batch_size: 4,
         }
     }
 }
@@ -70,11 +67,6 @@ pub struct TrainReport {
 pub struct Trainer {
     config: TrainConfig,
 }
-
-/// What [`Trainer::split`] hands back: the RNG mid-stream (so per-epoch
-/// shuffles continue the same sequence), the training-set order, and the
-/// held-out validation inputs and targets.
-type Split = (StdRng, Vec<usize>, Vec<Vec<f64>>, Vec<Vec<f64>>);
 
 impl Trainer {
     /// Creates a trainer.
@@ -114,7 +106,24 @@ impl Trainer {
         inputs: &[Vec<f64>],
         targets: &[Vec<f64>],
     ) -> TrainReport {
-        let (mut rng, mut train_order, val_inputs, val_targets) = self.split(inputs, targets);
+        assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
+        assert!(!inputs.is_empty(), "cannot train on an empty dataset");
+
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let mut order: Vec<usize> = (0..inputs.len()).collect();
+        order.shuffle(&mut rng);
+
+        let val_len = ((inputs.len() as f64) * self.config.validation_fraction).round() as usize;
+        let val_len = val_len.clamp(1, inputs.len().saturating_sub(1).max(1));
+        let (train_idx, val_idx) = order.split_at(inputs.len() - val_len);
+        assert!(
+            !train_idx.is_empty(),
+            "dataset too small for the validation split"
+        );
+
+        let val_inputs: Vec<Vec<f64>> = val_idx.iter().map(|&i| inputs[i].clone()).collect();
+        let val_targets: Vec<Vec<f64>> = val_idx.iter().map(|&i| targets[i].clone()).collect();
+        let mut train_order = train_idx.to_vec();
         let mut stop = Convergence::new(self.config.tolerance, self.config.patience);
 
         for _epoch in 0..self.config.max_epochs {
@@ -134,74 +143,10 @@ impl Trainer {
         }
         stop.into_report()
     }
-
-    /// Minibatch variant of [`train`](Self::train): identical shuffle,
-    /// split, and early-stopping protocol, but each epoch applies one
-    /// mean-gradient update per `batch_size` examples through the blocked
-    /// kernels ([`Network::train_minibatches`]). This is the throughput
-    /// path — fewer, wider updates — and is *not* numerically interchangeable
-    /// with per-sample SGD, so callers pick explicitly.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`train`](Self::train).
-    pub fn train_minibatched(
-        &self,
-        net: &mut Network,
-        inputs: &[Vec<f64>],
-        targets: &[Vec<f64>],
-        scratch: &mut crate::network::BatchScratch,
-    ) -> TrainReport {
-        let (mut rng, mut train_order, val_inputs, val_targets) = self.split(inputs, targets);
-        let mut stop = Convergence::new(self.config.tolerance, self.config.patience);
-        let batch = self.config.batch_size.max(1);
-
-        for _epoch in 0..self.config.max_epochs {
-            train_order.shuffle(&mut rng);
-            net.train_minibatches(
-                inputs,
-                targets,
-                &train_order,
-                batch,
-                self.config.learning_rate,
-                self.config.momentum,
-                scratch,
-            );
-            let val_mse = net.mse_batched(&val_inputs, &val_targets, batch, scratch);
-            if stop.record(val_mse) {
-                break;
-            }
-        }
-        stop.into_report()
-    }
-
-    /// Shuffles once, carves off the validation split, and returns the RNG
-    /// mid-stream so per-epoch shuffles continue the same sequence for
-    /// every training variant.
-    fn split(&self, inputs: &[Vec<f64>], targets: &[Vec<f64>]) -> Split {
-        assert_eq!(inputs.len(), targets.len(), "dataset length mismatch");
-        assert!(!inputs.is_empty(), "cannot train on an empty dataset");
-
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut order: Vec<usize> = (0..inputs.len()).collect();
-        order.shuffle(&mut rng);
-
-        let val_len = ((inputs.len() as f64) * self.config.validation_fraction).round() as usize;
-        let val_len = val_len.clamp(1, inputs.len().saturating_sub(1).max(1));
-        let (train_idx, val_idx) = order.split_at(inputs.len() - val_len);
-        assert!(
-            !train_idx.is_empty(),
-            "dataset too small for the validation split"
-        );
-
-        let val_inputs: Vec<Vec<f64>> = val_idx.iter().map(|&i| inputs[i].clone()).collect();
-        let val_targets: Vec<Vec<f64>> = val_idx.iter().map(|&i| targets[i].clone()).collect();
-        (rng, train_idx.to_vec(), val_inputs, val_targets)
-    }
 }
 
-/// The validation-convergence state machine shared by the per-sample and
-/// minibatch trainers (relative-improvement tolerance with patience).
+/// The validation-convergence state machine (relative-improvement
+/// tolerance with patience).
 struct Convergence {
     tolerance: f64,
     patience: usize,
@@ -341,42 +286,6 @@ mod tests {
                 .final_validation_mse
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn minibatched_training_converges_on_learnable_task() {
-        let (inputs, targets) = toy_dataset(80);
-        let mut net = Network::new(&[2, 10, 1], Activation::Sigmoid, Activation::Identity, 2);
-        let trainer = Trainer::new(TrainConfig {
-            max_epochs: 400,
-            learning_rate: 0.2,
-            ..TrainConfig::default()
-        });
-        let mut scratch = crate::network::BatchScratch::new();
-        let report = trainer.train_minibatched(&mut net, &inputs, &targets, &mut scratch);
-        assert!(
-            report.final_validation_mse < 0.01,
-            "validation MSE too high: {}",
-            report.final_validation_mse
-        );
-    }
-
-    #[test]
-    fn minibatched_training_is_deterministic_per_seed() {
-        let (inputs, targets) = toy_dataset(40);
-        let run = || {
-            let mut net = Network::new(&[2, 6, 1], Activation::Sigmoid, Activation::Identity, 5);
-            let trainer = Trainer::new(TrainConfig {
-                max_epochs: 20,
-                patience: 50,
-                ..TrainConfig::default()
-            });
-            let mut scratch = crate::network::BatchScratch::new();
-            trainer
-                .train_minibatched(&mut net, &inputs, &targets, &mut scratch)
-                .final_validation_mse
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
     }
 
     #[test]

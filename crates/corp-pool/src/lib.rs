@@ -1,9 +1,11 @@
-//! Persistent worker pool for CORP's prediction fan-out.
+//! Persistent worker pool: the workspace's one thread runtime.
 //!
 //! `corp-core::pipeline` used to spawn fresh scoped OS threads every
 //! provisioning window and rebuild each worker's predictor scratch from
-//! nothing. This crate amortizes both costs across the whole simulation,
-//! and is the workspace's only data-parallel runtime:
+//! nothing. This crate amortizes both costs across the whole simulation.
+//! It is the only crate that spawns threads outside test code: it runs
+//! the prediction fan-out, the experiment sweeps and the sharded
+//! coordinator's per-slot shard proposals (corp-cluster):
 //!
 //! * [`WorkerPool`] owns long-lived named threads (`corp-predict-{i}`),
 //!   each parked on a blocking channel receive while idle;
@@ -93,9 +95,9 @@ struct PoolWorker {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-/// Long-lived prediction workers, parked on a blocking channel receive
-/// while idle. Workers are spawned lazily by [`ensure`](Self::ensure) and
-/// joined on drop.
+/// Long-lived workers, parked on a blocking channel receive while idle.
+/// Workers are spawned lazily by [`ensure`](Self::ensure) and joined on
+/// drop.
 #[derive(Default)]
 pub struct WorkerPool {
     workers: Vec<PoolWorker>,
@@ -122,7 +124,13 @@ impl WorkerPool {
 
     /// Grows the pool to at least `width` workers (never shrinks — scratch
     /// in existing workers stays warm).
-    pub fn ensure(&mut self, width: usize) {
+    ///
+    /// # Errors
+    ///
+    /// The OS's refusal to spawn a worker thread. The workers started
+    /// before the failure stay in the pool, so [`width`](Self::width)
+    /// tells how far it got.
+    pub fn ensure(&mut self, width: usize) -> std::io::Result<()> {
         while self.workers.len() < width {
             let i = self.workers.len();
             let (tx, rx) = unbounded::<PoolTask>();
@@ -135,13 +143,13 @@ impl WorkerPool {
                     while let Ok(task) = rx.recv() {
                         task(&mut scratch);
                     }
-                })
-                .expect("failed to spawn prediction worker");
+                })?;
             self.workers.push(PoolWorker {
                 tasks: Some(tx),
                 handle: Some(handle),
             });
         }
+        Ok(())
     }
 
     /// Fans `f` over `tasks` across the pool: contiguous chunks of
@@ -158,8 +166,9 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Re-raises the first worker panic after all chunks have settled, and
-    /// panics if `results` is shorter than `tasks` or a worker died without
-    /// reporting.
+    /// panics if `results` is shorter than `tasks`, a worker thread cannot
+    /// be spawned, or a worker died without reporting. Callers that must
+    /// survive a spawn failure [`ensure`](Self::ensure) the width first.
     pub fn run_chunks<I, T, S, D>(
         &mut self,
         tasks: &[I],
@@ -183,7 +192,7 @@ impl WorkerPool {
         if tasks.is_empty() {
             return Vec::new();
         }
-        self.ensure(width);
+        self.ensure(width).expect("failed to spawn pool worker");
         let chunk_len = tasks.len().div_ceil(width);
         let n_chunks = tasks.len().div_ceil(chunk_len);
         let (done_tx, done_rx) = bounded::<(usize, Result<D, Payload>)>(n_chunks);
@@ -271,7 +280,7 @@ impl WorkerPool {
         }
         assert!(
             sent == n_chunks && received == sent,
-            "prediction worker died mid-dispatch"
+            "pool worker died mid-dispatch"
         );
         deltas
             .into_iter()
@@ -446,11 +455,11 @@ mod tests {
     #[test]
     fn pool_never_shrinks_but_grows_on_demand() {
         let mut pool = WorkerPool::new();
-        pool.ensure(2);
+        pool.ensure(2).unwrap();
         assert_eq!(pool.width(), 2);
-        pool.ensure(1);
+        pool.ensure(1).unwrap();
         assert_eq!(pool.width(), 2, "warm scratch is kept");
-        pool.ensure(5);
+        pool.ensure(5).unwrap();
         assert_eq!(pool.width(), 5);
     }
 

@@ -1,9 +1,9 @@
 //! Per-shard circuit breakers over the sharded control plane.
 //!
 //! corp-cluster's supervisor already *recovers* from shard failures —
-//! restart the worker, schedule the missed slot inline — but it retries a
-//! flapping shard every single slot, paying a dispatch, a timeout wait,
-//! and an inline fallback each time. [`BreakerSupervisor`] layers the
+//! rebuild the shard, schedule the missed slot inline — but it retries a
+//! flapping shard every single slot, paying a dispatch, a failure and an
+//! inline fallback each time. [`BreakerSupervisor`] layers the
 //! classic circuit-breaker state machine on top:
 //!
 //! * **Closed** — normal operation; consecutive failure fallbacks
@@ -11,7 +11,7 @@
 //! * **Open** — after [`BreakerConfig::failure_threshold`] consecutive
 //!   fallbacks the shard is isolated via
 //!   [`ShardedProvisioner::set_forced_inline`]: the coordinator schedules
-//!   its jobs inline *without* dispatching or waiting on the worker, for a
+//!   its jobs inline *without* dispatching the shard, for a
 //!   backoff measured in virtual slots (deterministic by construction —
 //!   no wall clocks anywhere).
 //! * **Half-open** — when the backoff expires the shard gets one probe
@@ -20,7 +20,7 @@
 //!   [`BreakerConfig::max_backoff_slots`]).
 //!
 //! A shard the coordinator marks permanently `failed` latches Open forever
-//! — no point probing a worker that cannot be respawned. Every transition
+//! — no point probing a shard that cannot be rebuilt. Every transition
 //! is a [`corp_sim::BreakerTransition`] carried in the control-plane stats
 //! of the serve report, alongside open/half-open/close counters.
 //!
@@ -163,7 +163,7 @@ impl BreakerSupervisor {
         let health = self.inner.shard_health();
         for h in health {
             let shard = h.shard;
-            // A permanently failed worker can never serve a probe: latch
+            // A permanently failed shard can never serve a probe: latch
             // Open so the coordinator stops even pretending to dispatch.
             if h.failed {
                 if !matches!(self.states[shard], BreakerState::Open { .. }) {

@@ -33,14 +33,14 @@ pub struct ShardStats {
     pub aborts: u64,
     /// Deepest pending-job queue this shard saw in any slot.
     pub max_queue_depth: usize,
-    /// Times this shard's worker was restarted after dying.
+    /// Times this shard's pipeline was rebuilt after dying.
     pub restarts: u64,
     /// Slots where the coordinator scheduled this shard inline because no
-    /// worker plan arrived (dead worker, dropped request, or late reply).
+    /// shard plan arrived (dead pipeline, dropped dispatch, or late plan).
     pub inline_slots: u64,
     /// Slots where a circuit breaker held this shard isolated: the
-    /// coordinator scheduled it inline *by design*, without dispatching to
-    /// (or waiting on) its worker.
+    /// coordinator scheduled it inline *by design*, without dispatching
+    /// it.
     pub isolated_slots: u64,
 }
 
@@ -96,21 +96,24 @@ pub struct ControlPlaneStats {
     pub stripe_conflicts: u64,
     /// Deepest store-wide pending queue observed in any slot.
     pub max_queue_depth: usize,
-    /// Worker threads killed by the fault schedule.
+    /// Shard pipelines killed by the fault schedule.
     pub worker_kills: u64,
-    /// Worker panics caught by the supervisor.
+    /// Shard pipeline panics caught by the supervisor (in a proposal or in
+    /// a completion or service-level callback).
     pub worker_panics: u64,
-    /// Workers restarted from their provisioner factories.
+    /// Shard pipelines rebuilt from their provisioner factories.
     pub worker_restarts: u64,
     /// Slots where the coordinator scheduled a shard inline for lack of a
-    /// worker plan.
+    /// shard plan.
     pub inline_slots: u64,
-    /// Control-plane messages lost (scheduled request drops plus
-    /// completion notifications to dead workers).
+    /// Control-plane messages lost (scheduled dispatch drops plus
+    /// completion batches for dead shards).
     pub messages_dropped: u64,
-    /// Shard replies delayed past their slot deadline by the schedule.
+    /// Shard plans delayed past their slot deadline by the schedule.
     pub messages_delayed: u64,
-    /// Reply waits that tripped the real-time timeout safety net.
+    /// Reply waits that tripped a real-time timeout. The coordinator has
+    /// no such timeout (its pool dispatch waits for every shard), so this
+    /// always reads 0; reports keep the field for a stable schema.
     pub recv_timeouts: u64,
     /// Slots a circuit breaker held a shard isolated (scheduled inline by
     /// design rather than by failure).

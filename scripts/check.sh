@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Repo-wide quality gate: formatting, lints, build, and the full test
-# suite. Run before every push.
+# Repo-wide quality gate: formatting, lints, build, the full test suite
+# and the benchmark harness's self-tests. Run before every push.
 #
 #   scripts/check.sh              # the standard gate
 #   scripts/check.sh chaos-soak   # heavy fault-injection soak (release,
 #                                 # end-to-end chaos runs; see
 #                                 # crates/corp-faults/tests/soak.rs)
 #   scripts/check.sh perf-smoke   # hot-path throughput smoke: runs the
-#                                 # perf experiment (which panics on any
-#                                 # non-finite or zero throughput) and
+#                                 # perf experiment (which prints one line
+#                                 # and exits 2 on any non-finite or zero
+#                                 # throughput or a failed write) and
 #                                 # requires BENCH_hotpath.json output
 #   scripts/check.sh serve-smoke  # serving-mode smoke: a short trace
 #                                 # replay through the corp-serve daemon
@@ -167,6 +168,12 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The benchmark harness is a package of its own that drives the crates
+# through their public APIs; its self-tests catch API changes that would
+# break the benchmark. Builds into the gitignored perfbench/target/.
+echo "==> cargo test --release --manifest-path perfbench/Cargo.toml"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 scale_smoke
 
