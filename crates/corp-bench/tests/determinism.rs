@@ -38,23 +38,32 @@ fn single_shard_reports_are_byte_identical_across_runs() {
 
 #[test]
 fn multi_shard_reports_are_byte_identical_across_runs() {
-    // Four real scheduler threads racing through the placement store must
-    // still merge into a bit-reproducible report: proposal generation is
-    // per-shard deterministic and arbitration order is fixed.
-    for scheme in [SchemeKind::Corp, SchemeKind::Rccr] {
+    // Shard proposals computed in parallel and arbitrated through the
+    // placement store must still merge into a bit-reproducible report:
+    // proposal generation is per-shard deterministic and arbitration order
+    // is fixed. Every scheme at 4 shards, plus CORP at 8 (the widest
+    // contention the goldens pin).
+    let cells = ALL_SCHEMES
+        .iter()
+        .map(|&scheme| (scheme, 4))
+        .chain([(SchemeKind::Corp, 8)]);
+    for (scheme, shards) in cells {
         let p = params();
-        let (a, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
-        let (b, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, 4, false);
+        let (a, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, shards, false);
+        let (b, _) = run_cell_sharded(Environment::Cluster, scheme, JOBS, &p, shards, false);
         let a = serde::json::to_string(&a);
         assert_eq!(
             a,
             serde::json::to_string(&b),
-            "{scheme:?} not deterministic at 4 shards"
+            "{scheme:?} not deterministic at {shards} shards"
         );
         assert_eq!(
             a,
-            golden::report(&format!("{}-{JOBS}jobs-4shards", golden::slug(scheme))),
-            "{scheme:?} at 4 shards diverged from the golden report"
+            golden::report(&format!(
+                "{}-{JOBS}jobs-{shards}shards",
+                golden::slug(scheme)
+            )),
+            "{scheme:?} at {shards} shards diverged from the golden report"
         );
     }
 }
@@ -303,6 +312,13 @@ fn disabled_faults_match_the_fault_free_supervised_run() {
 fn multi_shard_never_overcommits_and_reports_contention() {
     let p = params();
     let (r, _) = run_cell_sharded(Environment::Cluster, SchemeKind::Corp, 120, &p, 4, false);
+    // The heaviest retry traffic of any pinned cell: every control-plane
+    // counter is part of the golden comparison.
+    assert_eq!(
+        serde::json::to_string(&r),
+        golden::report("corp-120jobs-4shards"),
+        "120-job 4-shard CORP diverged from the golden report"
+    );
     // The engine independently validates every action; a store-approved
     // plan must never be rejected downstream.
     assert_eq!(r.invalid_actions, 0, "{r:?}");

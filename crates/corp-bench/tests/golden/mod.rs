@@ -2,8 +2,11 @@
 //! determinism and pool-runtime cells, captured from the code that still
 //! ran the scoped-thread runtime, the serial prediction switch and the
 //! reference DNN kernels side by side with the pool (every arm reproduced
-//! them exactly). A diff against them is a changed decision; never
-//! recapture them to make a test pass.
+//! them exactly). The `*shards*` fixtures pin the sharded control plane's
+//! decisions and every `ControlPlaneStats` counter; the CloudScale, DRA,
+//! 8-shard and 120-job ones were captured from the striped two-phase-commit
+//! store before it was replaced by the single-owner ledger. A diff against
+//! them is a changed decision; never recapture them to make a test pass.
 
 use corp_bench::env::SchemeKind;
 
