@@ -10,7 +10,8 @@
 #                                 # perf experiment (which prints one line
 #                                 # and exits 2 on any non-finite or zero
 #                                 # throughput or a failed write) and
-#                                 # requires BENCH_hotpath.json output
+#                                 # requires BENCH_hotpath.json output,
+#                                 # then restores the committed file
 #   scripts/check.sh serve-smoke  # serving-mode smoke: a short trace
 #                                 # replay through the corp-serve daemon
 #                                 # that must measure non-empty placement-
@@ -23,7 +24,9 @@
 #                                 # byte-identical full replay, the
 #                                 # zero-jobs-lost conservation law, and
 #                                 # a complete breaker trip/recover cycle;
-#                                 # --bench records BENCH_serve.json
+#                                 # --bench records BENCH_serve.json,
+#                                 # restored to the committed file once
+#                                 # the checks pass
 #   scripts/check.sh scale-smoke  # streaming-soak smoke: a 5k-job synthetic
 #                                 # stream through the reclaiming arena
 #                                 # engine; --smoke asserts job conservation
@@ -39,11 +42,11 @@
 #                                 # against the committed BENCH_e2e.json and
 #                                 # fails (one line, exit 2) if CORP's
 #                                 # pooled slots/sec drops
-#                                 # >20% below it, if the striped-store
-#                                 # sharded-8 arm falls >20% below its own
+#                                 # >20% below it, if the sharded-8
+#                                 # control-plane arm falls >20% below its own
 #                                 # committed number (on multi-core hosts
 #                                 # also: below the fresh pooled run), or if
-#                                 # its optimistic fast-path hit rate
+#                                 # its fast-path hit rate
 #                                 # regresses >5pp below the committed
 #                                 # baseline
 set -euo pipefail
@@ -82,6 +85,8 @@ if [[ "${1:-}" == "perf-smoke" ]]; then
         exit 1
     fi
     echo "Perf smoke passed ($(wc -c < BENCH_hotpath.json) bytes of baseline)."
+    # The smoke run rewrites the committed baseline; restore it.
+    git checkout -- BENCH_hotpath.json 2>/dev/null || true
     exit 0
 fi
 
@@ -105,6 +110,8 @@ if [[ "${1:-}" == "resilience-smoke" ]]; then
         exit 1
     fi
     echo "Resilience smoke passed ($(wc -c < BENCH_serve.json) bytes of baseline)."
+    # The smoke run rewrites the committed baseline; restore it.
+    git checkout -- BENCH_serve.json 2>/dev/null || true
     exit 0
 fi
 
