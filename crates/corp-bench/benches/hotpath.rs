@@ -7,11 +7,12 @@
 //!   [`VolumeIndex`] against the linear Eq. 22 scan it replaces, under
 //!   per-slot churn (each iteration updates one VM's pool, then answers
 //!   one placement query, exactly the scheduler's steady-state rhythm).
+//! * Claims on the sharded coordinator's capacity ledger.
 
 use corp_cluster::PlacementStore;
 use corp_core::{most_matched_vm, VolumeIndex};
 use corp_dnn::{Activation, Network, TrainConfig, Trainer};
-use corp_sim::ResourceVector;
+use corp_sim::{ResourceVector, VmView};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 /// Synthetic unused-resource sliding windows: smooth bounded oscillation,
@@ -129,45 +130,34 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Placement-store contention microbench backing DESIGN.md §15: one
-/// coordinator slot's worth of commits (a `begin_slot` reset then `OPS`
-/// round-robin claims) through each store shape. Capacities are huge so
-/// admission always succeeds — the arms measure lock-acquisition and
-/// bookkeeping cost, not conflict handling:
-///
-/// * `two_phase_per_op` — reserve then confirm, one lock pair per claim
-///   (the pre-striping coordinator rhythm), at 1 and 16 stripes;
-/// * `fast_commit_per_op` — the optimistic epoch fast path, fusing both
-///   phases into a single acquisition.
+/// Capacity-ledger microbench backing DESIGN.md §15: one coordinator
+/// slot's worth of claims (a `begin_slot` rebase then `OPS` round-robin
+/// claims from one shard) on the coordinator's ledger. Capacities are
+/// huge so every claim lands on its proposed VM: the arm measures the
+/// per-claim bookkeeping, not conflict handling.
 fn bench_store_contention(c: &mut Criterion) {
     const VMS: usize = 1024;
     const OPS: usize = 256;
-    let caps = vec![ResourceVector::splat(1e9); VMS];
-    let zeros = vec![ResourceVector::ZERO; VMS];
+    let capacity = ResourceVector::splat(1e9);
+    let vms: Vec<VmView> = (0..VMS)
+        .map(|id| VmView {
+            id,
+            capacity,
+            committed: ResourceVector::ZERO,
+            free: capacity,
+            jobs: Vec::new(),
+            unused_history: Vec::new(),
+        })
+        .collect();
     let demand = ResourceVector::splat(1.0);
+    let mut store = PlacementStore::new();
     let mut group = c.benchmark_group("store_1024vms");
-    for (label, stripes) in [("stripes1", 1usize), ("stripes16", 16usize)] {
-        let store = PlacementStore::with_stripes(caps.clone(), stripes);
-        group.bench_function(&format!("two_phase_per_op_{label}"), |b| {
-            b.iter(|| {
-                store.begin_slot(&zeros);
-                for op in 0..OPS {
-                    let id = store
-                        .reserve(0, black_box(op * 37 % VMS), demand)
-                        .expect("uncontended reserve");
-                    store.confirm(id).expect("open reservation");
-                }
-            })
-        });
-    }
-    let store = PlacementStore::with_stripes(caps, 16);
-    group.bench_function("fast_commit_per_op_stripes16", |b| {
+    group.bench_function("claim_per_op", |b| {
         b.iter(|| {
-            store.begin_slot(&zeros);
+            store.begin_slot(&vms);
             for op in 0..OPS {
-                store
-                    .try_fast_commit(0, black_box(op * 37 % VMS), demand)
-                    .expect("uncontended fast commit");
+                let claim = store.claim(0, black_box(op * 37 % VMS), demand, &capacity);
+                assert!(claim.vm.is_some(), "uncontended claim");
             }
         })
     });

@@ -47,7 +47,7 @@
 //! ```text
 //! corp-exp scale --smoke        # CI configuration + invariant checks
 //! corp-exp scale                # 50k VMs, 1M jobs
-//! corp-exp scale --shards 8     # soak behind the striped-store control plane
+//! corp-exp scale --shards 8     # soak behind the sharded control plane
 //! ```
 
 use corp_bench::experiments;

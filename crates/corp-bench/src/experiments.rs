@@ -406,7 +406,7 @@ fn overhead_figure(id: &str, env: Environment, fast: bool) -> FigureTable {
 pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Control-plane scalability: the CORP pipeline behind 1→8 scheduler
-/// shards coordinated through the two-phase-commit placement store
+/// shards arbitrated on the coordinator's capacity ledger
 /// (`corp-cluster`). Cells run sequentially — not fanned out — so each
 /// wall-clock throughput measurement owns the machine's cores.
 pub fn scalability(fast: bool) -> FigureTable {
@@ -456,7 +456,7 @@ pub fn scalability(fast: bool) -> FigureTable {
         id: "scalability".into(),
         table,
         notes: vec![
-            "throughput = committed placements / simulation wall-clock; conflict rate = refused / (admitted + refused) reservations at the placement store".into(),
+            "throughput = committed placements / simulation wall-clock; conflict rate = refused / (admitted + refused) claims at the capacity ledger".into(),
             "one shard reproduces the monolithic scheduler's decisions exactly (same seed, same report)".into(),
             format!(
                 "host parallelism: {cores} core(s) — shard speedup needs at least as many cores as shards; below that the sweep measures pure coordination overhead"
@@ -617,7 +617,7 @@ pub struct E2eArm {
     /// Scheme name (paper spelling).
     pub scheme: String,
     /// `"pooled"` (the monolithic scheduler) or `"sharded-K"` (the same
-    /// scheme behind the K-shard striped-store control plane). Older
+    /// scheme behind the K-shard sharded control plane). Older
     /// baselines also carry `"scoped"` rows.
     pub arm: String,
     /// Wall-clock seconds to build the provisioner (DNN pretraining for
@@ -629,13 +629,12 @@ pub struct E2eArm {
     pub slots_per_sec: f64,
     /// Completed jobs per wall-clock second.
     pub jobs_per_sec: f64,
-    /// Fraction of the placement store's admitted reservations that
-    /// committed through the optimistic fast path (single stripe
-    /// acquisition, both 2PC phases fused). Zero for monolithic arms,
-    /// which have no store.
+    /// Fraction of the capacity ledger's admitted claims that landed on a
+    /// VM no other shard had written that slot (fast-path hits). Zero for
+    /// monolithic arms, which have no ledger.
     pub fast_path_rate: f64,
-    /// Fast-path attempts refused by the per-VM epoch/writer check (zero
-    /// for monolithic arms).
+    /// Claims whose proposed VM another shard had already written that
+    /// slot (zero for monolithic arms).
     pub stripe_conflicts: u64,
 }
 
@@ -713,12 +712,12 @@ fn e2e_workload(jobs: usize, seed: u64) -> Vec<JobSpec> {
 }
 
 /// End-to-end throughput: every scheme driving the 1024-VM fleet, timed as
-/// the monolithic scheduler (`pooled`) and behind the striped-store control
+/// the monolithic scheduler (`pooled`) and behind the sharded control
 /// plane across the [`E2E_SHARD_SWEEP`] shard counts (`sharded-1` …
 /// `sharded-8`; `shards = Some(K)`, the CLI's `--shards K`, pins the sweep
 /// to one count). Arms run sequentially so each wall-clock measurement
 /// owns the machine. The `sharded-1` arm must reproduce the monolithic
-/// decisions exactly — every claim takes the store's fast path, and the
+/// decisions exactly — every claim is a fast-path hit, and the
 /// report's decision metrics are asserted equal to the pooled arm's.
 /// Multi-shard arms decorrelate per-shard seeds, so only their throughput
 /// is comparable. Monolithic arms are best-of-3; sharded arms are single
@@ -827,7 +826,7 @@ pub fn e2e(fast: bool, shards: Option<usize>) -> Result<FigureTable, String> {
     write_baseline(E2E_BASELINE_FILE, &serde::json::to_string(&baseline))?;
     let mut table = TextTable::new(
         format!(
-            "E2E — end-to-end throughput, monolithic (pooled) vs striped-store shard sweep \
+            "E2E — end-to-end throughput, monolithic (pooled) vs sharded control-plane sweep \
              ({vms} VMs, {jobs} jobs)"
         ),
         &[
@@ -870,9 +869,9 @@ pub fn e2e(fast: bool, shards: Option<usize>) -> Result<FigureTable, String> {
             "sharded-1 verified decision-identical to pooled; multi-shard arms decorrelate \
              per-shard seeds, so only their throughput is comparable"
                 .into(),
-            "fast-path = fraction of store reservations committed via the single-stripe \
-             optimistic path; stripe conflicts = fast-path attempts refused by the per-VM \
-             writer check"
+            "fast-path = fraction of admitted claims that landed on a VM no other shard \
+             had written that slot; stripe conflicts = claims whose proposed VM another \
+             shard had already written"
                 .into(),
         ],
     })
@@ -915,7 +914,7 @@ fn e2e_gate(committed: &str, path: &str, arms: &[E2eArm]) -> Result<(), String> 
             ));
         }
     }
-    // The striped store's headline claim: at 8 shards the control plane
+    // The sharded control plane's headline claim: at 8 shards the control plane
     // keeps up with the monolithic pooled runtime (same noise tolerance as
     // the pooled gate). Only enforceable where shards can actually run in
     // parallel — on a single-core host the sharded arm is pure
@@ -934,8 +933,8 @@ fn e2e_gate(committed: &str, path: &str, arms: &[E2eArm]) -> Result<(), String> 
     }
     // Fast-path-rate regression: a contention or protocol change that
     // silently pushes claims off the fast path shows up here even while
-    // throughput noise hides it. Baselines predating the striped store
-    // have no such row; skip them.
+    // throughput noise hides it. Baselines predating the fast-path
+    // counter have no such row; skip them.
     if let Some(committed_rate) = baseline_field(committed, "CORP", "sharded-8", "fast_path_rate") {
         if sharded8.fast_path_rate < committed_rate - E2E_FAST_PATH_TOLERANCE {
             return Err(format!(

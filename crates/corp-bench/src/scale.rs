@@ -35,7 +35,7 @@ pub struct ScaleArgs {
     pub jobs: usize,
     /// Workload seed (`--seed S`, non-zero).
     pub seed: u64,
-    /// Run the soak behind a `K`-shard striped-store control plane instead
+    /// Run the soak behind a `K`-shard sharded control plane instead
     /// of the direct monolithic provisioner (`--shards K`; `None` =
     /// monolithic).
     pub shards: Option<usize>,
@@ -137,11 +137,11 @@ pub struct ScaleResult {
     /// Scheduler shards the soak ran behind (0 = direct monolithic
     /// provisioner, no control plane).
     pub shards: usize,
-    /// Placement-store claims committed via the optimistic fast path
+    /// Claims that landed on a VM no other shard had written that slot
     /// (0 for monolithic runs).
     pub fast_path_hits: u64,
-    /// Fast-path attempts refused by the per-VM writer check (0 for
-    /// monolithic runs).
+    /// Claims whose proposed VM another shard had already written that
+    /// slot (0 for monolithic runs).
     pub stripe_conflicts: u64,
     /// Wall-clock seconds of the simulation loop.
     pub run_secs: f64,
@@ -324,7 +324,7 @@ pub fn scale_experiment(args: &ScaleArgs) -> Result<FigureTable, String> {
         check_smoke(&result, args)?;
     }
     let arm = match args.shards {
-        Some(k) => format!("{k}-shard striped store"),
+        Some(k) => format!("{k}-shard control plane"),
         None => "static-peak".to_string(),
     };
     let mut table = TextTable::new(
@@ -398,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn parse_shards_selects_the_striped_control_plane() {
+    fn parse_shards_selects_the_sharded_control_plane() {
         let args = ScaleArgs::parse(&["--shards".to_string(), "4".to_string()]).unwrap();
         assert_eq!(args.shards, Some(4));
         assert!(ScaleArgs::parse(&["--shards".to_string(), "0".to_string()]).is_err());

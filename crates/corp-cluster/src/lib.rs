@@ -6,11 +6,10 @@
 //! overcommit a VM beyond capacity) or the repo's reproducibility bar
 //! (same seed → same report):
 //!
-//! * [`PlacementStore`] — the centralized capacity arbiter. Placements go
-//!   through a two-phase commit: `reserve` (admission-checks the request
-//!   against `committed + reserved` under one lock and opens a hold) then
-//!   `confirm` or `abort`. Racing schedulers can interleave arbitrarily;
-//!   no interleaving can overcommit a VM.
+//! * [`PlacementStore`] — the coordinator's capacity ledger. It is owned
+//!   by the coordinator and mutated through `&mut self`; each claim lands
+//!   on the proposed VM if it fits, else on the Eq. 22 best fit, else
+//!   aborts, so no arbitration order can overcommit a VM.
 //! * [`shard`] — deterministic job-to-shard ownership
 //!   (`job_id % num_shards`) and per-shard context narrowing, so shards
 //!   contend only on capacity, never on the same job.
@@ -18,8 +17,7 @@
 //!   scheduler shards (each a full `Provisioner` pipeline) to the engine's
 //!   interface: parallel proposal generation, one task per shard on a
 //!   `corp-pool` `WorkerPool` over the borrowed slot context, then
-//!   deterministic sequential arbitration through the store with bounded
-//!   best-fit retry on reservation conflicts.
+//!   deterministic sequential arbitration of the proposals on the ledger.
 //!
 //! With one shard the coordinator reproduces the wrapped scheduler's
 //! decisions exactly; with many it reports throughput and contention via
@@ -35,18 +33,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod error;
 pub mod health;
 pub mod provisioner;
 pub mod shard;
 pub mod store;
 
-pub use backend::TwoPhaseBackend;
 pub use error::ClusterError;
 pub use health::{ShardHealth, ShardSlotOutcome};
 pub use provisioner::{ProvisionerFactory, ShardConfig, ShardedProvisioner};
-pub use store::{
-    FastPathMiss, PlacementStore, ReservationId, ReserveError, StoreCounters, TxnError,
-    DEFAULT_STRIPES,
-};
+pub use store::{PlacementStore, StoreCounters};

@@ -11,29 +11,16 @@
 //!    shard owns (see [`crate::shard`]) into a view buffer the shard keeps
 //!    across slots, runs its pipeline, and returns its [`ProvisionPlan`].
 //! 2. **Arbitrate (sequential, deterministic).** The coordinator replays
-//!    the proposals against the striped [`PlacementStore`] in a fixed
-//!    order — allocation adjustments first (shrinks before grows, as the
-//!    engine applies them), then placements round-robin by (proposal
-//!    index, shard). Each placement first attempts the store's
-//!    **optimistic fast path**
-//!    ([`PlacementStore::try_fast_commit`]): when no other shard has
-//!    touched the proposed VM this slot, both 2PC phases fuse into one
-//!    commit under a single stripe lock. On any miss — foreign writer,
-//!    capacity conflict, unknown VM — the claim falls back to full
-//!    ordered 2PC at the same arbitration position: open a reservation
-//!    (phase 1), on conflict retry against the next-best-fit VM up to the
-//!    retry budget, after which the proposal aborts and the job stays
-//!    pending — the queue itself is the bounded backoff, since the owning
-//!    shard re-proposes next slot. Fallback confirms are deferred and land
-//!    as one batched round per slot
-//!    ([`PlacementStore::confirm_batch`], one acquisition per touched
-//!    stripe); a hold blocks headroom exactly like a commitment, so
-//!    deferral is invisible to admission. Either way the committed
-//!    sequence the store validated is exactly the sequence the engine will
-//!    apply: a store-approved plan can never trip the engine's validators.
-//!    The fast path takes claims in the same canonical order the fallback
-//!    does, so it changes per-claim cost, never outcomes — at one shard no
-//!    VM ever sees a foreign writer, every claim fast-commits, and reports
+//!    the proposals against its capacity ledger, the [`PlacementStore`],
+//!    in a fixed order: allocation adjustments first (shrinks before
+//!    grows, as the engine applies them), then placements round-robin by
+//!    (proposal index, shard). Each placement lands on its proposed VM if
+//!    that VM still fits, else on the Eq. 22 best fit over the ledger's
+//!    headrooms, else aborts and its job stays pending: the queue itself
+//!    is the backoff, since the owning shard re-proposes next slot. The
+//!    sequence the ledger admitted is exactly the sequence the engine will
+//!    apply, so an arbitrated plan can never trip the engine's validators.
+//!    At one shard every proposal fits where its shard put it, so reports
 //!    stay byte-identical to the monolithic path.
 //!
 //! ## Supervision
@@ -57,8 +44,7 @@
 //! owns its RNG/predictor state), arbitration order is a pure function
 //! of (shard index, proposal index), and fault injection follows a
 //! pre-computed plan — so identical seeds and configs yield byte-identical
-//! reports at any shard count, while the store itself stays fully
-//! thread-safe for genuinely racing users.
+//! reports at any shard count.
 
 use corp_faults::ControlFaultPlan;
 use corp_pool::WorkerPool;
@@ -71,21 +57,13 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::backend::TwoPhaseBackend;
 use crate::error::ClusterError;
 use crate::health::{ShardHealth, ShardSlotOutcome};
 use crate::shard::{owner_of, shard_pending, shard_vm_views, shard_vm_views_into};
 use crate::store::PlacementStore;
-use corp_core::pipeline::PlacementBackend;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Rebuilds one shard's scheduler pipeline after it dies.
 pub type ProvisionerFactory = Box<dyn Fn() -> Box<dyn Provisioner + Send> + Send>;
-
-/// Alternative-VM attempts after a placement's first reservation
-/// conflicts; past the budget the proposal aborts to the pending queue.
-const MAX_RETRIES: usize = 3;
 
 /// Coordinator knobs.
 #[derive(Debug, Clone, Default)]
@@ -177,18 +155,12 @@ pub struct ShardedProvisioner {
     /// One worker per shard; shard proposals are its tasks.
     pool: WorkerPool,
     config: ShardConfig,
-    /// Built lazily from the first slot's fleet view.
-    store: Option<PlacementStore>,
+    store: PlacementStore,
     max_queue_depth: usize,
     recovery: RecoveryCounters,
     errors: Vec<ClusterError>,
     /// Current brownout posture, re-applied to pipelines after a rebuild.
     service_level: u8,
-    /// Slots where at least one placement fell back from the optimistic
-    /// fast path to a full ordered 2PC round.
-    fallback_rounds: u64,
-    /// Per-slot scratch for the store rebase (capacity/committed columns).
-    rebase_scratch: (Vec<ResourceVector>, Vec<ResourceVector>),
 }
 
 impl ShardedProvisioner {
@@ -284,13 +256,11 @@ impl ShardedProvisioner {
             pipelines,
             pool,
             config,
-            store: None,
+            store: PlacementStore::new(),
             max_queue_depth: 0,
             recovery: RecoveryCounters::default(),
             errors,
             service_level: 0,
-            fallback_rounds: 0,
-            rebase_scratch: (Vec::new(), Vec::new()),
         }
     }
 
@@ -299,9 +269,9 @@ impl ShardedProvisioner {
         self.shards.len()
     }
 
-    /// The shared placement store (after the first slot).
-    pub fn store(&self) -> Option<&PlacementStore> {
-        self.store.as_ref()
+    /// The coordinator's capacity ledger, as of the most recent slot.
+    pub fn store(&self) -> &PlacementStore {
+        &self.store
     }
 
     /// Typed failures the supervisor recorded (spawn failures,
@@ -515,13 +485,8 @@ impl ShardedProvisioner {
     }
 
     /// Phase B: deterministic sequential arbitration of all proposals
-    /// through the store.
+    /// through the ledger.
     fn arbitrate(&mut self, ctx: &SlotContext<'_>, plans: Vec<ProvisionPlan>) -> ProvisionPlan {
-        let Some(store) = self.store.as_ref() else {
-            // Unreachable (provision initializes the store) but no panic:
-            // an empty plan is always safe.
-            return ProvisionPlan::default();
-        };
         let mut merged = ProvisionPlan::default();
 
         // Adjustments: shrinks release capacity before grows claim it —
@@ -567,7 +532,7 @@ impl ShardedProvisioner {
                     self.shards[shard].stats.conflicts += 1;
                     continue;
                 }
-                if store.adjust(vm, old, new) {
+                if self.store.adjust(vm, old, new) {
                     merged.adjustments.push((job, new));
                 } else {
                     self.shards[shard].stats.conflicts += 1;
@@ -575,23 +540,10 @@ impl ShardedProvisioner {
             }
         }
 
-        // Placements: round-robin by (proposal index, shard). Each claim
-        // first attempts the store's optimistic fast path on its proposed
-        // VM — one stripe acquisition fusing both 2PC phases when no other
-        // shard has written that VM this slot. Any miss falls back, at the
-        // same canonical position, to a full 2PC claim through the same
-        // `PlacementBackend` stage contract the monolithic pipelines place
-        // through, with phase 2 deferred into one batched confirm round
-        // per slot. The fast path changes per-claim cost, never outcomes:
-        // a fast commit admits exactly what reserve+confirm would have.
+        // Placements: round-robin by (proposal index, shard), each one
+        // claim on the ledger.
         let pending_ids: HashSet<JobId> = ctx.pending.iter().map(|j| j.id).collect();
         let mut placed: HashSet<JobId> = HashSet::new();
-        let mut backend = TwoPhaseBackend::new(store, MAX_RETRIES);
-        backend.defer_confirms();
-        // The trait threads an RNG for randomized selectors; 2PC claims
-        // are deterministic and never draw from it.
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut fell_back = false;
         let deepest = plans.iter().map(|p| p.placements.len()).max().unwrap_or(0);
         for index in 0..deepest {
             for (shard, plan) in plans.iter().enumerate() {
@@ -608,22 +560,10 @@ impl ShardedProvisioner {
                     continue;
                 }
                 let alloc = p.allocation.clamp_nonnegative();
-                let committed_vm = match store.try_fast_commit(shard, p.vm, alloc) {
-                    Ok(()) => Some(p.vm),
-                    Err(_) => {
-                        // Foreign writer, capacity conflict, or unknown
-                        // VM: full ordered 2PC with bounded best-fit
-                        // retry, exactly the claim the fast path fused.
-                        fell_back = true;
-                        backend.set_origin(shard);
-                        let claim =
-                            backend.choose(&[], &alloc, Some(p.vm), &ctx.max_vm_capacity, &mut rng);
-                        stats.conflicts += claim.conflicts;
-                        stats.retries += claim.retries;
-                        claim.vm
-                    }
-                };
-                match committed_vm {
+                let claim = self.store.claim(shard, p.vm, alloc, &ctx.max_vm_capacity);
+                stats.conflicts += claim.conflicts;
+                stats.retries += claim.retries;
+                match claim.vm {
                     Some(vm) => {
                         stats.commits += 1;
                         placed.insert(p.job);
@@ -636,10 +576,6 @@ impl ShardedProvisioner {
                     None => stats.aborts += 1,
                 }
             }
-        }
-        backend.flush_confirms();
-        if fell_back {
-            self.fallback_rounds += 1;
         }
 
         for plan in plans {
@@ -655,17 +591,9 @@ impl Provisioner for ShardedProvisioner {
     }
 
     fn provision(&mut self, ctx: &SlotContext<'_>) -> ProvisionPlan {
-        let (capacities, committed) = &mut self.rebase_scratch;
-        capacities.clear();
-        capacities.extend(ctx.vms.iter().map(|vm| vm.capacity));
-        committed.clear();
-        committed.extend(ctx.vms.iter().map(|vm| vm.committed));
-        let store = self
-            .store
-            .get_or_insert_with(|| PlacementStore::new(capacities.clone()));
         // Re-basing capacities every slot tracks crashed VMs (whose view
         // capacity is zero) leaving and rejoining the fleet.
-        store.begin_slot_full(capacities, committed);
+        self.store.begin_slot(ctx.vms);
         let plans = self.propose(ctx);
         self.arbitrate(ctx, plans)
     }
@@ -733,21 +661,19 @@ impl Provisioner for ShardedProvisioner {
     }
 
     fn control_plane_stats(&self) -> Option<ControlPlaneStats> {
-        let counters = self
-            .store
-            .as_ref()
-            .map(|s| s.counters())
-            .unwrap_or_default();
+        let counters = self.store.counters();
         Some(ControlPlaneStats {
             shards: self.shards.len(),
-            reservations: counters.reservations,
+            // Every admitted claim commits in the same step, and no claim
+            // outlives its slot, so nothing is ever left to abort.
+            reservations: counters.commits,
             commits: counters.commits,
             conflicts: counters.conflicts,
-            aborts: counters.aborts,
+            aborts: 0,
             retries: self.shards.iter().map(|s| s.stats.retries).sum(),
-            fast_path_hits: counters.fast_commits,
-            fallback_rounds: self.fallback_rounds,
-            stripe_conflicts: counters.epoch_conflicts,
+            fast_path_hits: counters.fast_path_hits,
+            fallback_rounds: counters.fallback_rounds,
+            stripe_conflicts: counters.stripe_conflicts,
             max_queue_depth: self.max_queue_depth,
             worker_kills: self.recovery.worker_kills,
             worker_panics: self.recovery.worker_panics,
@@ -847,7 +773,7 @@ mod tests {
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.commits, 2);
         assert!(stats.conflicts >= 2, "{stats:?}");
-        assert!(p.store().unwrap().holds_invariants(1e-9));
+        assert!(p.store().holds_invariants(1e-9));
     }
 
     #[test]
@@ -876,11 +802,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_bounds_attempts_and_aborts_to_pending() {
+    fn misfit_without_alternative_aborts_to_pending() {
         // One VM with room for one job, two shards each proposing theirs.
-        // The loser's reservation conflicts and best-fit finds no
-        // alternative, so it aborts immediately instead of burning the
-        // whole retry budget on hopeless VMs; its job stays pending.
+        // The loser's claim conflicts and best fit finds no alternative,
+        // so it aborts without a retry; its job stays pending.
         let vms = fleet(&[1.0]);
         let committed = committed_of(&vms);
         let pending = vec![job(0, 1.0), job(1, 1.0)];
@@ -1303,6 +1228,6 @@ mod tests {
         assert!(got.placements.is_empty(), "{got:?}");
         let stats = p.control_plane_stats().unwrap();
         assert_eq!(stats.per_shard[0].aborts, 1, "{stats:?}");
-        assert!(p.store().unwrap().holds_invariants(1e-9));
+        assert!(p.store().holds_invariants(1e-9));
     }
 }

@@ -1,10 +1,10 @@
 //! Job-to-shard partitioning and per-shard context construction.
 //!
 //! Every job is owned by exactly one shard for its whole lifetime —
-//! `owner = job_id % num_shards` — so racing shards never propose
-//! conflicting actions for the *same* job; the only contention left is
-//! capacity, which the [`PlacementStore`](crate::PlacementStore)
-//! arbitrates. Each shard receives a narrowed [`SlotContext`](corp_sim::SlotContext): the full VM
+//! `owner = job_id % num_shards` — so shards never propose conflicting
+//! actions for the *same* job; the only contention left is capacity,
+//! which the coordinator arbitrates on its
+//! [`PlacementStore`](crate::PlacementStore) ledger. Each shard receives a narrowed [`SlotContext`](corp_sim::SlotContext): the full VM
 //! fleet (capacity and commitment truth is global) but with each VM's
 //! running-job views and the pending queue filtered to the jobs the shard
 //! owns. VM-level series (`unused_history`) stay global, so VM-granular

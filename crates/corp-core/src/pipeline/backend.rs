@@ -4,9 +4,9 @@
 //! schemes use [`DirectBackend`] — an in-process selector over the slot's
 //! free pools (Eq. 22 volume best-fit through the incremental
 //! [`VolumeIndex`], random fitting VM, DRA's share-weighted choice, or
-//! plain first fit). The sharded control plane (`corp-cluster`) implements
-//! the same trait over its two-phase-commit `PlacementStore`, so one
-//! pipeline drives both the monolithic and the distributed paths.
+//! plain first fit). The sharded control plane (`corp-cluster`) runs the
+//! same pipelines inside its shards and arbitrates their proposals on its
+//! capacity ledger, reporting each claim's contention as a [`Claim`].
 
 use crate::placement::{random_fitting_vm, VolumeIndex};
 use crate::predictor::dra::ShareClass;
@@ -16,17 +16,16 @@ use rand::Rng;
 
 /// The outcome of one placement attempt.
 ///
-/// Direct backends either succeed or fail; a transactional backend
-/// additionally reports how much contention the claim saw, which the
-/// coordinator folds into its control-plane statistics.
+/// Direct backends either succeed or fail; the sharded coordinator's
+/// capacity ledger additionally reports how much contention the claim
+/// saw, which it folds into its control-plane statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct Claim {
-    /// The VM the entity landed on, or `None` if nothing fit (or every
-    /// reservation attempt aborted).
+    /// The VM the entity landed on, or `None` if nothing fit.
     pub vm: Option<usize>,
-    /// Reservation conflicts encountered while claiming (2PC backends).
+    /// Conflicts encountered while claiming (the sharded ledger).
     pub conflicts: u64,
-    /// Successful retries onto an alternative VM (2PC backends).
+    /// Successful retries onto an alternative VM (the sharded ledger).
     pub retries: u64,
 }
 

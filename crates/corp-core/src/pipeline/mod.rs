@@ -18,8 +18,8 @@
 //! [`corp_sim::Provisioner`] interface. The monolithic schemes in
 //! [`crate::scheduler`] are type aliases over concrete stage sets; the
 //! sharded control plane (`corp-cluster`) runs the *same* pipelines inside
-//! its shard workers and re-expresses its arbitration through a
-//! two-phase-commit [`PlacementBackend`] over the `PlacementStore`.
+//! its shards and arbitrates their proposals on its capacity ledger, the
+//! `PlacementStore`.
 //!
 //! Determinism is a stage contract: predictors fan out through the
 //! [`PredictRuntime`]'s persistent pool workers writing by task index,

@@ -1,10 +1,10 @@
 //! Control-plane telemetry for sharded (multi-scheduler) provisioners.
 //!
-//! A distributed control plane — several scheduler shards racing to place
-//! jobs through a shared capacity arbiter — has health metrics a monolithic
-//! scheduler does not: how often optimistic reservations conflict, how many
-//! placements abort after exhausting retries, how deep each shard's queue
-//! runs. [`ControlPlaneStats`] carries those counters into the
+//! A distributed control plane — several scheduler shards proposing
+//! placements that one capacity arbiter admits — has health metrics a
+//! monolithic scheduler does not: how often proposals conflict over the
+//! same capacity, how many land elsewhere or abort, how deep each shard's
+//! queue runs. [`ControlPlaneStats`] carries those counters into the
 //! [`SimulationReport`](crate::SimulationReport) so scalability experiments
 //! can report commit-conflict rates alongside utilization and SLO metrics.
 //!
@@ -23,13 +23,17 @@ pub struct ShardStats {
     pub shard: usize,
     /// Placement proposals this shard emitted.
     pub proposals: u64,
-    /// Proposals that committed (possibly after retries).
+    /// Proposals that committed (possibly after a retry).
     pub commits: u64,
-    /// Reservation conflicts this shard's proposals hit.
+    /// Proposals (and allocation adjustments) refused because their VM
+    /// could not take them.
     pub conflicts: u64,
-    /// Retry attempts after a conflict.
+    /// Proposals that landed on the Eq. 22 best fit after their proposed
+    /// VM conflicted (at most one per proposal).
     pub retries: u64,
-    /// Proposals abandoned after the retry budget was exhausted.
+    /// Proposals that placed nowhere: neither the proposed VM nor any other
+    /// fit, the VM id was unknown, or the allocation was non-finite. There
+    /// is no retry budget to exhaust; a proposal retries at most once.
     pub aborts: u64,
     /// Deepest pending-job queue this shard saw in any slot.
     pub max_queue_depth: usize,
@@ -69,30 +73,32 @@ pub struct BreakerTransition {
     pub to: BreakerStateName,
 }
 
-/// Aggregate counters for a sharded control plane plus its shared store.
+/// Aggregate counters for a sharded control plane plus its capacity ledger.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ControlPlaneStats {
     /// Number of scheduler shards.
     pub shards: usize,
-    /// Reservations opened on the placement store (phase 1 of 2PC).
+    /// Claims the placement store admitted. Every admitted claim commits
+    /// in the same step, so this always equals `commits`.
     pub reservations: u64,
-    /// Reservations confirmed (phase 2 commit).
+    /// Claims committed.
     pub commits: u64,
-    /// Reservation attempts refused because they would overcommit a VM.
+    /// Claims (and allocation adjustments) refused because they would
+    /// overcommit their VM.
     pub conflicts: u64,
-    /// Reservations explicitly rolled back.
+    /// Admitted claims rolled back. No claim outlives its slot, so nothing
+    /// is ever left to roll back and this always reads 0; reports keep the
+    /// field for a stable schema.
     pub aborts: u64,
     /// Placement retries across all shards.
     pub retries: u64,
-    /// Claims committed via the store's optimistic fast path: a single
-    /// stripe acquisition fusing both 2PC phases on an uncontended VM.
+    /// Claims that landed on their proposed VM while no other shard had
+    /// written that VM in the slot.
     pub fast_path_hits: u64,
-    /// Arbitration slots where at least one claim fell back from the fast
-    /// path to a full ordered 2PC round (reserve, bounded best-fit retry,
-    /// batched confirm).
+    /// Arbitration slots where at least one claim was not a fast-path hit.
     pub fallback_rounds: u64,
-    /// Fast-path attempts refused by the per-VM epoch/writer check because
-    /// another shard had written the VM that slot.
+    /// Claims whose proposed VM another shard had already written in the
+    /// slot.
     pub stripe_conflicts: u64,
     /// Deepest store-wide pending queue observed in any slot.
     pub max_queue_depth: usize,
@@ -132,7 +138,7 @@ pub struct ControlPlaneStats {
 }
 
 impl ControlPlaneStats {
-    /// Fraction of reservation attempts that conflicted:
+    /// Fraction of claim attempts that conflicted:
     /// `conflicts / (reservations + conflicts)`. Zero when no attempts were
     /// made.
     pub fn conflict_rate(&self) -> f64 {
