@@ -137,15 +137,16 @@ impl PlacementStore {
             self.note_fallback();
             return claim;
         };
+        let foreign = writer.is_foreign_to(shard);
         let fits = amount.fits_within(&self.headroom(vm));
-        if !writer.is_foreign_to(shard) && fits {
+        if !foreign && fits {
             self.committed[vm] += amount;
             self.counters.fast_path_hits += 1;
             claim.vm = Some(self.admit(shard, vm));
             return claim;
         }
         self.note_fallback();
-        if writer.is_foreign_to(shard) {
+        if foreign {
             self.counters.stripe_conflicts += 1;
         }
         let target = if fits {
