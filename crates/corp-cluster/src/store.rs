@@ -296,6 +296,19 @@ mod tests {
     }
 
     #[test]
+    fn reserve_confirm_commits_capacity() {
+        // A claim reserves and confirms in one step: the capacity is
+        // committed as soon as it returns.
+        let mut store = ledger(&[big()]);
+        let claim = store.claim(0, 0, rv(2.0, 8.0, 90.0), &big());
+        assert_eq!((claim.vm, claim.conflicts, claim.retries), (Some(0), 0, 0));
+        assert_eq!(store.free(0).unwrap(), rv(2.0, 8.0, 90.0));
+        let c = store.counters();
+        assert_eq!((c.commits, c.conflicts, c.fast_path_hits), (1, 0, 1));
+        assert!(store.holds_invariants(1e-9));
+    }
+
+    #[test]
     fn fast_commit_hits_on_uncontended_vms() {
         let mut store = ledger(&[big(), big()]);
         let claim = store.claim(0, 1, rv(2.0, 8.0, 90.0), &big());
@@ -380,6 +393,39 @@ mod tests {
         store.begin_slot(&[view(big(), rv(1.0, 4.0, 45.0))]);
         assert_eq!(store.free(0).unwrap(), rv(3.0, 12.0, 135.0));
         assert_eq!(store.counters().commits, 2, "counters persist");
+    }
+
+    #[test]
+    fn begin_slot_full_rebases_capacities() {
+        let mut store = ledger(&[big()]);
+        // The VM crashed: zero capacity, nothing committed.
+        store.begin_slot(&[view(ResourceVector::ZERO, ResourceVector::ZERO)]);
+        assert_eq!(store.free(0).unwrap(), ResourceVector::ZERO);
+        let refused = store.claim(0, 0, rv(1.0, 1.0, 1.0), &big());
+        assert_eq!((refused.vm, refused.conflicts), (None, 1));
+        // Recovery restores nominal capacity.
+        store.begin_slot(&[view(big(), ResourceVector::ZERO)]);
+        assert_eq!(store.free(0).unwrap(), big());
+        assert_eq!(store.claim(0, 0, rv(1.0, 1.0, 1.0), &big()).vm, Some(0));
+        assert!(store.holds_invariants(1e-9));
+    }
+
+    #[test]
+    fn set_capacity_crash_wipes_commitments_and_aborts_holds() {
+        let mut store = ledger(&[big()]);
+        // One committed (fast-path) claim and one held (foreign-shard) claim.
+        store.claim(0, 0, rv(2.0, 2.0, 2.0), &big());
+        store.claim(1, 0, rv(1.0, 1.0, 1.0), &big());
+        assert_eq!(store.free(0).unwrap(), rv(1.0, 13.0, 177.0));
+        // Crash: the rebase zeroes capacity and the ledger follows it.
+        store.begin_slot(&[view(ResourceVector::ZERO, ResourceVector::ZERO)]);
+        assert!(store.holds_invariants(1e-9));
+        assert_eq!(store.free(0).unwrap(), ResourceVector::ZERO);
+        // Recovery on an emptied ledger: neither the commitment nor the
+        // held claim survived the crash.
+        store.begin_slot(&[view(big(), ResourceVector::ZERO)]);
+        assert_eq!(store.free(0).unwrap(), big());
+        assert_eq!(store.free(7), None, "unknown VM");
     }
 
     #[test]
