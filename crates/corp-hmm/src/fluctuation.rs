@@ -20,7 +20,7 @@
 use crate::baum_welch::baum_welch;
 use crate::model::Hmm;
 use crate::quantize::{FluctuationSymbol, SpreadQuantizer};
-use crate::viterbi::{viterbi, viterbi_last_in, ViterbiScratch};
+use crate::viterbi::{viterbi, viterbi_last_logs_in, HmmLogs, ViterbiScratch};
 use serde::{Deserialize, Serialize};
 
 /// Reusable buffers for the scratch-variant prediction entry points
@@ -87,6 +87,10 @@ pub struct FluctuationPredictor {
     /// subwindows.
     window_len: usize,
     fitted: bool,
+    /// `hmm`'s log tables, computed once by a successful [`fit`](Self::fit)
+    /// for the decode to read (derived data, not serialized).
+    #[serde(skip)]
+    logs: HmmLogs,
 }
 
 impl FluctuationPredictor {
@@ -103,6 +107,7 @@ impl FluctuationPredictor {
             quantizer: None,
             window_len,
             fitted: false,
+            logs: HmmLogs::default(),
         }
     }
 
@@ -133,6 +138,7 @@ impl FluctuationPredictor {
         }
         let report = baum_welch(&mut self.hmm, &obs, 40, 1e-6);
         self.quantizer = Some(quantizer);
+        self.logs = HmmLogs::new(&self.hmm);
         self.fitted = true;
         Some(report.iterations)
     }
@@ -189,7 +195,8 @@ impl FluctuationPredictor {
         if scratch.obs.is_empty() {
             return FluctuationSymbol::Center;
         }
-        let (q_last, _) = viterbi_last_in(&self.hmm, &scratch.obs, &mut scratch.viterbi);
+        let (q_last, _) =
+            viterbi_last_logs_in(&self.hmm, &self.logs, &scratch.obs, &mut scratch.viterbi);
 
         let mut best_k = 0;
         let mut best_p = f64::NEG_INFINITY;
