@@ -14,19 +14,19 @@
 //! population. Predictions are mapped back to resource units and clamped
 //! non-negative (negative unused resource is meaningless).
 
-use crate::network::{Network, Scratch};
+use crate::network::{Network, LANES};
 use crate::train::{TrainConfig, TrainReport, Trainer};
 use serde::{Deserialize, Serialize};
 
-/// Reusable buffers for [`UnusedResourcePredictor::predict_with`]: the
-/// assembled input window plus the network's activation scratch. One per
-/// worker thread lets a fleet of threads query a shared predictor with zero
+/// Reusable lane-major buffers for
+/// [`UnusedResourcePredictor::predict_batch`]: the scaled input windows of
+/// one pass plus the network's two activation buffers. One per worker
+/// thread lets a fleet of threads query a shared predictor with zero
 /// steady-state allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
-    window: Vec<f64>,
-    input: Vec<f64>,
-    net: Scratch,
+    input: Vec<[f64; LANES]>,
+    layers: [Vec<[f64; LANES]>; 2],
 }
 
 impl PredictScratch {
@@ -138,7 +138,7 @@ impl UnusedResourcePredictor {
             }
             for start in 0..=(series.len() - w - h) {
                 let window = &series[start..start + w];
-                let scale = Self::window_scale(window);
+                let scale = Self::window_scale(window.iter().copied());
                 inputs.push(window.iter().map(|v| v / scale).collect::<Vec<f64>>());
                 targets.push(vec![series[start + w + h - 1] / scale]);
             }
@@ -154,8 +154,8 @@ impl UnusedResourcePredictor {
 
     /// Per-example normalization scale: the window maximum, floored so an
     /// all-zero window maps to zero rather than dividing by zero.
-    fn window_scale(window: &[f64]) -> f64 {
-        window.iter().cloned().fold(0.0f64, f64::max).max(1e-9)
+    fn window_scale(window: impl Iterator<Item = f64>) -> f64 {
+        window.fold(0.0f64, f64::max).max(1e-9)
     }
 
     /// Predicts the unused resource `horizon` slots after the end of
@@ -179,33 +179,74 @@ impl UnusedResourcePredictor {
     }
 
     /// [`predict`](Self::predict) through caller-provided scratch, leaving
-    /// the predictor immutable so scoped threads can share one
-    /// `&UnusedResourcePredictor`. Bit-identical to `predict` (same window
-    /// assembly, same fused forward kernel).
+    /// the predictor immutable so pool workers can share one
+    /// `&UnusedResourcePredictor`: a one-lane
+    /// [`predict_batch`](Self::predict_batch), bit-identical to `predict`.
     ///
     /// # Panics
     ///
     /// Panics if `recent` is empty.
     pub fn predict_with(&self, recent: &[f64], scratch: &mut PredictScratch) -> f64 {
-        assert!(!recent.is_empty(), "need at least one recent observation");
+        let mut y = [0.0];
+        self.predict_batch(&[recent], &mut y, scratch);
+        y[0]
+    }
+
+    /// Predicts up to [`LANES`] series in one batched network pass:
+    /// `out[b]` is [`predict`](Self::predict) of `recents[b]`, bit for
+    /// bit. Each lane assembles its own window (the last `window` values,
+    /// left-padded with its first value when shorter), is scaled by its
+    /// own window maximum and is mapped back by it; an untrained
+    /// predictor answers every lane with persistence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any series is empty, if `recents` and `out` differ in
+    /// length, or if there are more than `LANES` series.
+    pub fn predict_batch(&self, recents: &[&[f64]], out: &mut [f64], scratch: &mut PredictScratch) {
+        assert!(
+            recents.iter().all(|r| !r.is_empty()),
+            "need at least one recent observation"
+        );
+        assert_eq!(recents.len(), out.len(), "one output per series");
+        assert!(recents.len() <= LANES, "at most {LANES} series per batch");
         if !self.trained {
-            return recent[recent.len() - 1].max(0.0);
+            for (o, recent) in out.iter_mut().zip(recents) {
+                *o = recent[recent.len() - 1].max(0.0);
+            }
+            return;
+        }
+        if recents.is_empty() {
+            return;
         }
         let w = self.config.window;
-        let window = &mut scratch.window;
-        window.clear();
-        if recent.len() >= w {
-            window.extend_from_slice(&recent[recent.len() - w..]);
-        } else {
-            let pad = w - recent.len();
-            window.extend(std::iter::repeat_n(recent[0], pad));
-            window.extend_from_slice(recent);
+        let input = &mut scratch.input;
+        input.clear();
+        input.resize(w, [0.0; LANES]);
+        let mut scales = [0.0; LANES];
+        for (b, recent) in recents.iter().enumerate() {
+            let pad = w.saturating_sub(recent.len());
+            let window = || {
+                std::iter::repeat_n(recent[0], pad)
+                    .chain(recent[recent.len() - (w - pad)..].iter().copied())
+            };
+            let scale = Self::window_scale(window());
+            for (x, v) in input.iter_mut().zip(window()) {
+                x[b] = v / scale;
+            }
+            scales[b] = scale;
         }
-        let scale = Self::window_scale(window);
-        scratch.input.clear();
-        scratch.input.extend(window.iter().map(|v| v / scale));
-        let y = self.net.forward_with(&scratch.input, &mut scratch.net)[0] * scale;
-        y.max(0.0)
+        let y = self
+            .net
+            .forward_lanes(input, recents.len(), &mut scratch.layers);
+        for ((o, &y), scale) in out.iter_mut().zip(&y[0]).zip(scales) {
+            *o = (y * scale).max(0.0);
+        }
+    }
+
+    /// The underlying network (inspection and oracle tests).
+    pub fn network(&self) -> &Network {
+        &self.net
     }
 }
 
