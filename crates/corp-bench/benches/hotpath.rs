@@ -8,9 +8,13 @@
 //!   per-slot churn (each iteration updates one VM's pool, then answers
 //!   one placement query, exactly the scheduler's steady-state rhythm).
 //! * Claims on the sharded coordinator's capacity ledger.
+//! * One provisioning window of CORP inference on the paper's network:
+//!   the batched DNN pass, HMM correction and Eq. 19 margin for 1024 jobs
+//!   × 3 resources.
 
+use corp_bench::env::{historical_histories, Environment};
 use corp_cluster::PlacementStore;
-use corp_core::{most_matched_vm, VolumeIndex};
+use corp_core::{most_matched_vm, CorpConfig, CorpJobPredictor, PredictionScratch, VolumeIndex};
 use corp_dnn::{Activation, Network, TrainConfig, Trainer};
 use corp_sim::{ResourceVector, VmView};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -164,11 +168,47 @@ fn bench_store_contention(c: &mut Criterion) {
     group.finish();
 }
 
+/// One window of CORP's per-job forecast on the paper's 4x50 networks,
+/// pretrained on the experiments' historical workload: 1024 jobs with
+/// three recent-unused series each, through the batched
+/// `predict_jobs_in` path a pool worker runs. Series lengths cycle
+/// through 1..=12 samples, so short series (left-padded to the 6-slot
+/// input window) and full ones both occur, as in a live fleet.
+fn bench_dnn_infer(c: &mut Criterion) {
+    const JOBS: usize = 1024;
+    let mut predictor = CorpJobPredictor::new(&CorpConfig::default());
+    predictor.pretrain(&historical_histories(Environment::Cluster, 40));
+    let recent: Vec<Vec<Vec<f64>>> = (0..JOBS)
+        .map(|j| {
+            (0..3)
+                .map(|k| {
+                    (0..1 + j % 12)
+                        .map(|t| 1.0 + 0.8 * (((j * 7 + k * 3 + t) as f64) * 0.61).sin())
+                        .collect()
+                })
+                .collect()
+        })
+        .collect();
+    let requested = vec![ResourceVector::splat(2.0); JOBS];
+    let mut out = vec![ResourceVector::ZERO; JOBS];
+    let mut scratch = PredictionScratch::new();
+    let mut group = c.benchmark_group("dnn_infer");
+    group.sample_size(20);
+    group.bench_function("window_1024jobs_paper_net", |b| {
+        b.iter(|| {
+            predictor.predict_jobs_in(black_box(&recent), &requested, &mut scratch, &mut out);
+            out[JOBS - 1]
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dnn_pretrain,
     bench_best_fit,
     bench_kernels,
-    bench_store_contention
+    bench_store_contention,
+    bench_dnn_infer
 );
 criterion_main!(benches);

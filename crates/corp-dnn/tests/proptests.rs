@@ -2,9 +2,31 @@
 
 use corp_dnn::{
     Activation, Matrix, Network, PredictScratch, TrainConfig, UnusedResourcePredictor,
-    WindowPredictorConfig,
+    WindowPredictorConfig, LANES,
 };
 use proptest::prelude::*;
+
+/// The scalar oracle for one lane of
+/// [`UnusedResourcePredictor::predict_batch`]: persistence when untrained,
+/// else the documented window assembly (last `window` values, left-padded
+/// with the first), window-max scaling with its 1e-9 floor, and training's
+/// own `Network::forward`.
+fn scalar_prediction(p: &UnusedResourcePredictor, net: &mut Network, recent: &[f64]) -> f64 {
+    if !p.is_trained() {
+        return recent[recent.len() - 1].max(0.0);
+    }
+    let w = p.config().window;
+    let mut window = Vec::with_capacity(w);
+    if recent.len() >= w {
+        window.extend_from_slice(&recent[recent.len() - w..]);
+    } else {
+        window.resize(w - recent.len(), recent[0]);
+        window.extend_from_slice(recent);
+    }
+    let scale = window.iter().fold(0.0f64, |m, &v| m.max(v)).max(1e-9);
+    let input: Vec<f64> = window.iter().map(|v| v / scale).collect();
+    (net.forward(&input)[0] * scale).max(0.0)
+}
 
 proptest! {
     #[test]
@@ -126,6 +148,89 @@ proptest! {
             let with_reused = p.predict_with(s, &mut reused);
             let fresh = p.predict_with(s, &mut PredictScratch::new());
             prop_assert_eq!(with_reused.to_bits(), fresh.to_bits());
+        }
+    }
+
+    #[test]
+    fn forward_lanes_matches_scalar_forward_by_bits(
+        seed in 0u64..500,
+        hidden in 1usize..9,
+        activation in 0usize..4,
+        inputs in prop::collection::vec(prop::collection::vec(-4.0f64..4.0, 3), 1..=LANES),
+        zeroed in 0usize..LANES,
+    ) {
+        // Every live-lane count, every activation; one lane's input is
+        // all zeros so only -0.0/+0.0 products reach its first layer.
+        let act = [Activation::Sigmoid, Activation::Tanh, Activation::Relu, Activation::Identity]
+            [activation];
+        let mut net = Network::new(&[3, hidden, 2], act, Activation::Identity, seed);
+        let mut inputs = inputs;
+        if let Some(x) = inputs.get_mut(zeroed) {
+            x.iter_mut().for_each(|v| *v = 0.0);
+        }
+        let mut lanes = vec![[0.0; LANES]; 3];
+        for (b, x) in inputs.iter().enumerate() {
+            for (j, &v) in x.iter().enumerate() {
+                lanes[j][b] = v;
+            }
+        }
+        let out = net
+            .forward_lanes(&lanes, inputs.len(), &mut [Vec::new(), Vec::new()])
+            .to_vec();
+        for (b, x) in inputs.iter().enumerate() {
+            let scalar: Vec<u64> = net.forward(x).iter().map(|v| v.to_bits()).collect();
+            let lane: Vec<u64> = out.iter().map(|o| o[b].to_bits()).collect();
+            prop_assert_eq!(lane, scalar, "lane {} of {}", b, inputs.len());
+        }
+    }
+
+    #[test]
+    fn batched_predictions_match_the_scalar_forward_oracle_by_bits(
+        serieses in prop::collection::vec(
+            prop::collection::vec(0.0f64..100.0, 1..10),
+            1..=LANES,
+        ),
+        zero_lanes in 0usize..(1 << LANES),
+        trained in 0usize..2,
+        level in 1.0f64..50.0,
+    ) {
+        // 1..=LANES live lanes, series shorter than the 6-slot window
+        // (padding), all-zero windows (the 1e-9 scale floor) and, in half
+        // the cases, an untrained net (persistence): every lane must equal
+        // the scalar oracle bit for bit, through one reused scratch.
+        let mut p = UnusedResourcePredictor::new(WindowPredictorConfig {
+            window: 6,
+            horizon: 1,
+            units: 7,
+            hidden_layers: 2,
+            train: TrainConfig { max_epochs: 3, ..TrainConfig::default() },
+            ..WindowPredictorConfig::default()
+        });
+        if trained == 1 {
+            let histories: Vec<Vec<f64>> = (0..4)
+                .map(|j| (0..14).map(|t| level + ((t + j) % 4) as f64).collect())
+                .collect();
+            prop_assert!(p.fit(&histories).is_some());
+        }
+        let serieses: Vec<Vec<f64>> = serieses
+            .into_iter()
+            .enumerate()
+            .map(|(b, s)| if zero_lanes >> b & 1 == 1 { vec![0.0; s.len()] } else { s })
+            .collect();
+        let recents: Vec<&[f64]> = serieses.iter().map(Vec::as_slice).collect();
+        let mut scratch = PredictScratch::new();
+        let mut net = p.network().clone();
+        for pass in 0..2 {
+            let mut out = vec![f64::NAN; recents.len()];
+            p.predict_batch(&recents, &mut out, &mut scratch);
+            for (b, recent) in recents.iter().enumerate() {
+                let expected = scalar_prediction(&p, &mut net, recent);
+                prop_assert_eq!(
+                    out[b].to_bits(),
+                    expected.to_bits(),
+                    "pass {}, lane {} of {}: {:?}", pass, b, recents.len(), recent
+                );
+            }
         }
     }
 }

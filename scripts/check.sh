@@ -11,7 +11,10 @@
 #                                 # and exits 2 on any non-finite or zero
 #                                 # throughput or a failed write) and
 #                                 # requires BENCH_hotpath.json output,
-#                                 # then restores the committed file
+#                                 # then restores the committed file; then
+#                                 # runs the hotpath bench's dnn_infer group
+#                                 # (batched inference on the paper's 4x50
+#                                 # network, which `--fast perf` never runs)
 #   scripts/check.sh serve-smoke  # serving-mode smoke: a short trace
 #                                 # replay through the corp-serve daemon
 #                                 # that must measure non-empty placement-
@@ -84,9 +87,12 @@ if [[ "${1:-}" == "perf-smoke" ]]; then
         echo "perf-smoke FAILED: BENCH_hotpath.json missing or empty" >&2
         exit 1
     fi
-    echo "Perf smoke passed ($(wc -c < BENCH_hotpath.json) bytes of baseline)."
+    baseline_bytes=$(wc -c < BENCH_hotpath.json)
     # The smoke run rewrites the committed baseline; restore it.
     git checkout -- BENCH_hotpath.json 2>/dev/null || true
+    echo "==> cargo bench -p corp-bench --bench hotpath -- dnn_infer"
+    cargo bench -p corp-bench --bench hotpath -- dnn_infer
+    echo "Perf smoke passed (${baseline_bytes} bytes of baseline)."
     exit 0
 fi
 
